@@ -11,7 +11,8 @@ full-field censuses and curve sweeps cheap.
 
 Trace maps relative to any subfield have degree 1/2/3 for the first, second
 and third trace, and the Artin-Schreier fiber predicates have degree 2, so
-everything swept in this package fits.
+everything swept in this package fits.  Linear images keep the degree, so the
+census sweeps the packed subfield indices of all three traces as one map.
 """
 
 import itertools
@@ -30,17 +31,18 @@ def low_weight_masks(m: int, d: int):
             yield bits, mask
 
 
-def sweep(m: int, func, degree: int, spot_check: int = 16) -> np.ndarray:
+def sweep(m: int, func, degree: int, spot_check: int = 16,
+          dtype=np.uint32) -> np.ndarray:
     """Array A with A[x] = func(x) for every m-bit x.
 
-    func maps an int to an int < 2^32 and must have GF(2)-degree <= degree;
-    spot_check random inputs are validated against the direct evaluation to
-    guard the degree contract.
+    func maps an int to an unsigned int that fits `dtype` and must have
+    GF(2)-degree <= degree; spot_check random inputs are validated against
+    the direct evaluation to guard the degree contract.
     """
     if m > 32:
-        raise ValueError("sweeps hold uint32 values; m must be <= 32")
+        raise ValueError(f"sweeps cover at most 2^32 inputs; m = {m} > 32")
     vals = {mask: func(mask) for _, mask in low_weight_masks(m, degree)}
-    arr = np.zeros(1 << m, dtype=np.uint32)
+    arr = np.zeros(1 << m, dtype=dtype)
     for bits, mask in low_weight_masks(m, degree):
         c = 0
         for k in range(len(bits) + 1):
@@ -51,8 +53,12 @@ def sweep(m: int, func, degree: int, spot_check: int = 16) -> np.ndarray:
                 c ^= vals[s]
         arr[mask] = c
     for i in range(m):
-        half = 1 << i
-        view = arr.reshape(-1, 2 * half)
+        # xor half-blocks as words of up to 8 bytes: a numpy row per narrow
+        # block would cost more than the xor itself
+        block = arr.itemsize << i
+        unit = min(block, 8)
+        half = block // unit
+        view = arr.view(f"u{unit}").reshape(-1, 2 * half)
         view[:, half:] ^= view[:, :half]
     if spot_check:
         rng = random.Random(0xC0DE ^ m)
@@ -66,7 +72,7 @@ def sweep(m: int, func, degree: int, spot_check: int = 16) -> np.ndarray:
 
 def subfield_codes(values: np.ndarray, subfield_sorted: np.ndarray) -> np.ndarray:
     """Compress an array of subfield elements to indices into the sorted
-    subfield table, verifying membership."""
+    subfield table, verifying membership (unused; perfbench traces it)."""
     codes = np.searchsorted(subfield_sorted, values)
     codes[codes >= len(subfield_sorted)] = 0
     if not np.array_equal(subfield_sorted[codes], values):

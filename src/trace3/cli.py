@@ -32,17 +32,12 @@ def _emit(payload, fmt="json"):
         raise ValueError(f"unsupported format {fmt}")
 
 
-def _census_rows(census):
-    return [(t1, t2, t3, c) for t1, t2, t3, c in census.rows()]
-
-
 def cmd_count_traces(args):
     census = traces.trace_census(args.r, args.n, args.which, cap=args.max_bits)
-    rows = _census_rows(census)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["t1_bits", "t2_bits", "t3_bits", "count"])
-        writer.writerows(rows)
+        writer.writerows(census.rows())
     else:
         _emit({"r": args.r, "n": args.n, "which": args.which,
                "total": str(census.total),

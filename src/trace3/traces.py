@@ -3,6 +3,7 @@ trace censuses, and brute-force counts of irreducible polynomials with
 prescribed leading coefficients.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
@@ -85,80 +86,78 @@ class TraceCensus:
 _WHICH_DEPTH = {"one": 1, "two": 2, "three": 3}
 
 
-def _trace_value_sweeps(r: int, n: int, depth: int, cap: int):
-    """Yield (index, values) for the first `depth` trace maps, one full-field
-    array at a time so callers can release each before the next is built.
-    Traces that are empty sums (second for n < 2, third for n < 3) yield
-    values None."""
+def _trace_code_sweep(r: int, n: int, depth: int, cap: int):
+    """(keys, sub, active): one sweep of the packed subfield codes of the
+    first `depth` traces, those not empty sums (T2 needs n >= 2, T3 n >= 3).
+
+    The sorted subfield table sub has the reduced-row-echelon basis
+    sub[1 << j], so the index of v in it gathers the bits of v at the basis'
+    leading bits: a GF(2)-linear map.  Packed first trace highest, the codes
+    form a key of degree len(active) in r * len(active) bits.  Each trace
+    value evaluated is checked to lie in the subfield, which, being closed
+    under xor, then holds every swept value.
+    """
     m = r * n
     if m > cap:
         raise BudgetError(f"rn = {m} exceeds enumeration cap {cap}")
     ctx = build_context(m)
-    cache = {}
+    sub = ctx.subfield_elements(r)
+    pivots = [sub[1 << j].bit_length() - 1 for j in range(r)]
+    active = range(min(depth, n))
 
-    def triple(x):
-        if x not in cache:
-            cache[x] = trace_triple(ctx, r, x)
-        return cache[x]
+    def code(v):
+        c = 0
+        for j, p in enumerate(pivots):
+            c |= ((v >> p) & 1) << j
+        if sub[c] != v:
+            raise AssertionError("swept values left the subfield")
+        return c
 
-    for i in range(depth):
-        if n < i + 1:
-            yield i, None
-        else:
-            yield i, anf.sweep(m, lambda x, i=i: triple(x)[i], i + 1)
+    def key(x):
+        t = trace_triple(ctx, r, x)
+        k = 0
+        for i in active:
+            k = k << r | code(t[i])
+        return k
+
+    dtype = np.min_scalar_type((1 << r * len(active)) - 1)
+    return anf.sweep(m, key, len(active), dtype=dtype), sub, active
 
 
 def trace_census(r: int, n: int, which: str = "three",
                  cap: int = DEFAULT_ENUM_CAP) -> TraceCensus:
     """Census of all 2^(rn) elements by their first traces relative to
-    F_{2^r}."""
+    F_{2^r}, in increasing order of packed codes.  bincount copies its input
+    to intp, so it runs over slices of at least 2^20 keys."""
     depth = _WHICH_DEPTH[which]
-    if r * n > cap:
-        raise BudgetError(f"rn = {r * n} exceeds enumeration cap {cap}")
-    ctx = build_context(r * n)
-    sub = np.array(ctx.subfield_elements(r), dtype=np.uint32)
-    key = np.zeros(1 << ctx.m, dtype=np.uint64)
-    active = []
-    for i, values in _trace_value_sweeps(r, n, depth, cap):
-        if values is None:
-            continue
-        codes = anf.subfield_codes(values, sub)
-        del values
-        key = (key << np.uint64(r)) | codes.astype(np.uint64)
-        active.append(i)
-    key_bits = r * len(active)
-    if key_bits <= 20:
-        cnt = np.bincount(key.astype(np.int64), minlength=1 << key_bits)
-        pairs = [(k, int(c)) for k, c in enumerate(cnt.tolist()) if c]
-    else:
-        uniq, cnt = np.unique(key, return_counts=True)
-        pairs = list(zip(uniq.tolist(), cnt.tolist()))
-    counts = {}
-    mask = (1 << r) - 1
-    for k, c in pairs:
-        parts = [0] * depth
-        for pos, i in enumerate(active):
-            shift = r * (len(active) - 1 - pos)
-            parts[i] = int(sub[(k >> shift) & mask])
-        counts[tuple(parts)] = int(c)
-    return TraceCensus(r, n, which, counts)
+    keys, sub, active = _trace_code_sweep(r, n, depth, cap)
+    bins = 1 << (r * len(active))
+    step = max(1 << 20, bins)
+    cnt = sum(np.bincount(keys[i:i + step], minlength=bins)
+              for i in range(0, keys.size, step))
+    del keys
+    codes, table = np.flatnonzero(cnt), np.array(sub, dtype=np.uint32)
+    cols = [table[(codes >> shift) & ((1 << r) - 1)].tolist()
+            for shift in range(r * (len(active) - 1), -1, -r)]
+    cols += [[0] * codes.size] * (depth - len(active))
+    return TraceCensus(r, n, which,
+                       dict(zip(zip(*cols), cnt[codes].tolist())))
 
 
 def trace_class_count(r: int, n: int, traces, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of elements of F_{2^(rn)} whose first len(traces) traces equal
-    the given big-field bit patterns (no full census materialised)."""
-    hit = None
-    for i, values in _trace_value_sweeps(r, n, len(traces), cap):
-        if values is None:
-            if traces[i] != 0:
-                return 0
-            continue
-        cond = values == np.uint32(traces[i])
-        del values
-        hit = cond if hit is None else (hit & cond)
-    if hit is None:
-        return 1 << (r * n)
-    return int(np.count_nonzero(hit))
+    the given big-field bit patterns (no full census materialised); 0 for a
+    target outside the subfield or a nonzero one for an empty trace."""
+    keys, sub, active = _trace_code_sweep(r, n, len(traces), cap)
+    if any(traces[len(active):]):
+        return 0
+    target = 0
+    for i in active:
+        pos = bisect_left(sub, traces[i])
+        if pos == len(sub) or sub[pos] != traces[i]:
+            return 0
+        target = target << r | pos
+    return int(np.count_nonzero(keys == target))
 
 
 def census_rows_json(census: TraceCensus):

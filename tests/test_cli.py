@@ -1,7 +1,12 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 
+import trace3
 from trace3.cli import main
 
 
@@ -42,6 +47,29 @@ def test_count_traces_json_and_csv(capsys):
 def test_count_traces_budget_error(capsys):
     code, _, err = run_cli(capsys, "count-traces", "--r", "1", "--n", "40")
     assert code == 2 and "budget" in err
+
+
+def test_count_traces_refuses_sweep_beyond_32_bits():
+    # within --max-bits but beyond what a sweep can index: a usage error
+    # before anything of size 2^33 is allocated.  The child's address
+    # space is capped at 2 GiB, so an attempted allocation would end in
+    # a MemoryError traceback instead.
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(trace3.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trace3.cli", "count-traces", "--r", "1",
+         "--n", "33", "--max-bits", "40"],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error:")
 
 
 def test_count_irreducibles(capsys):

@@ -1,8 +1,10 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from trace3.anf import sweep
 from trace3.closedforms import gauss_count
 from trace3.field import BudgetError, build_context
 from trace3.traces import (PrefixPoly, check_trace_addition_identities,
@@ -117,6 +119,83 @@ def test_trace_class_count_consistency():
     census = trace_census(2, 4, "three")
     for key, count in census.counts.items():
         assert trace_class_count(2, 4, key) == count
+
+
+def reference_census(r, n, which):
+    """The census by three separate sweeps, one per trace, each mapped to
+    its index in the sorted subfield table by searchsorted and packed into a
+    uint64 key, first trace highest; classes in increasing key order.  This
+    is the bucketing trace_census replaced with one sweep of packed codes,
+    kept as the reference it must reproduce, insertion order included."""
+    ctx = build_context(r * n)
+    sub = np.array(ctx.subfield_elements(r), dtype=np.uint32)
+    depth = {"one": 1, "two": 2, "three": 3}[which]
+    active = [i for i in range(depth) if i < n]
+    key = np.zeros(ctx.order, dtype=np.uint64)
+    for i in active:
+        values = sweep(ctx.m, lambda x: trace_triple(ctx, r, x)[i], i + 1)
+        codes = np.minimum(np.searchsorted(sub, values), len(sub) - 1)
+        assert np.array_equal(sub[codes], values)
+        key = key << np.uint64(r) | codes.astype(np.uint64)
+    uniq, cnt = np.unique(key, return_counts=True)
+    counts = {}
+    for k, c in zip(uniq.tolist(), cnt.tolist()):
+        parts = [0] * depth
+        for pos, i in enumerate(active):
+            shift = r * (len(active) - 1 - pos)
+            parts[i] = int(sub[(k >> shift) & ((1 << r) - 1)])
+        counts[tuple(parts)] = c
+    return counts
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_census_matches_reference_census(m):
+    for r in range(1, m + 1):
+        if m % r == 0:
+            for which in ("one", "two", "three"):
+                expected = reference_census(r, m // r, which)
+                got = trace_census(r, m // r, which).counts
+                assert list(got.items()) == list(expected.items()), (r, which)
+
+
+def test_subfield_index_is_pivot_gather():
+    # the sorted subfield table has the reduced-row-echelon basis
+    # sub[1 << j], so an element's index gathers the basis' leading bits
+    for m in range(1, 17):
+        ctx = build_context(m)
+        for r in range(1, m + 1):
+            if m % r:
+                continue
+            sub = ctx.subfield_elements(r)
+            pivots = [sub[1 << j].bit_length() - 1 for j in range(r)]
+            for index, v in enumerate(sub):
+                assert sum(((v >> p) & 1) << j
+                           for j, p in enumerate(pivots)) == index
+
+
+def test_trace_class_count_edge_cases():
+    ctx = build_context(6)
+    outside = min(set(range(ctx.order)) - set(ctx.subfield_elements(2)))
+    assert trace_class_count(2, 3, (outside,)) == 0
+    assert trace_class_count(2, 3, (0, outside, 0)) == 0
+    # n = 2: the third trace is an empty sum, so only 0 matches it
+    assert trace_class_count(3, 2, (0, 0, 1)) == 0
+    assert (trace_class_count(3, 2, (0, 0, 0))
+            == trace_class_count(3, 2, (0, 0)) == 1)
+    assert trace_class_count(2, 1, (0, 1)) == 0
+    # no trace prescribed: every element matches
+    assert trace_class_count(2, 3, ()) == 64
+
+
+@pytest.mark.parametrize("dtype,mask", [(np.uint8, 0xFF), (np.uint16, 0xFFFF)])
+def test_narrow_sweep_matches_uint32(dtype, mask):
+    ctx = build_context(18)
+    for exponent, degree in ((2, 1), (3, 2), (7, 3)):
+        def func(x):
+            return ctx.pow(x, exponent) & mask
+        narrow = sweep(ctx.m, func, degree, dtype=dtype)
+        assert narrow.dtype == dtype
+        assert np.array_equal(narrow, sweep(ctx.m, func, degree))
 
 
 def test_trace_addition_identities():
