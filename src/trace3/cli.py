@@ -24,12 +24,20 @@ ENV_BUDGET = "TRACE3_MAX_BITS"
 
 _FAMILY = {"c1": 1, "c2": 2, "c3": 3}
 
+# the residue tables that emit-table prints, by name
+TABLES = {
+    "1": cf.TWO_TRACE_TABLE,
+    "2": cf.THREE_TRACE_TABLE,
+    "3": curves.COMBINED_TABLES[1],
+    "4": curves.COMBINED_TABLES[2],
+    "5": cf.ALL_ZERO_TABLE,
+    "c3": curves.COMBINED_TABLES[3],
+    "c3noroot": curves.TWIST_TABLES[(3, "0-roots")][0],
+}
 
-def _emit(payload, fmt="json"):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        raise ValueError(f"unsupported format {fmt}")
+
+def _emit(payload):
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_count_traces(args):
@@ -218,76 +226,19 @@ def _parse_range(text):
     return range(int(lo), int(hi) + 1)
 
 
-def _table_definition(which):
-    if which == "1":
-        classes = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        return {
-            "period": 8, "parities": False,
-            "columns": [f"t1={a},t2={b}" for a, b in classes],
-            "symbolic": lambda res, p: [cf.two_trace_symbolic(res, a, b)
-                                        for a, b in classes],
-            "value": lambda r, n: [str(cf.two_trace_deviation(n, a, b))
-                                   for a, b in classes],
-            "n_min": 2,
-        }
-    if which == "2":
-        classes = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        return {
-            "period": 24, "parities": False,
-            "columns": [f"t2={a},t3={b}" for a, b in classes],
-            "symbolic": lambda res, p: [cf.three_trace_symbolic(res, a, b)
-                                        for a, b in classes],
-            "value": lambda r, n: [str(cf.three_trace_deviation(n, 0, a, b))
-                                   for a, b in classes],
-            "n_min": 3,
-        }
-    if which == "5":
-        return {
-            "period": 24, "parities": True,
-            "columns": ["value"],
-            "symbolic": lambda res, p: [cf.f000_symbolic(res, p)],
-            "value": lambda r, n: [str(cf.count_all_zero_traces(r, n))],
-            "n_min": 1,
-        }
-    if which in ("3", "4", "c3"):
-        family = {"3": 1, "4": 2, "c3": 3}[which]
-        return {
-            "period": 8 if family == 1 else 24, "parities": True,
-            "columns": ["value"],
-            "symbolic": lambda res, p: [curves.combined_symbolic(family, res, p)],
-            "value": lambda r, n: [str(curves.closed_count_combined(family, r, n))],
-            "n_min": 1,
-        }
-    if which == "c3noroot":
-        return {
-            "period": 24, "parities": True,
-            "columns": ["value"],
-            "symbolic": lambda res, p: [curves.noroot_symbolic(res, p)],
-            "value": lambda r, n: [str(curves.closed_count_twist(
-                3, r, n, klass="0-roots"))],
-            "n_min": 1,
-        }
-    raise ValueError(f"unknown table {which}")
-
-
 def cmd_emit_table(args):
-    spec = _table_definition(args.which)
+    table = TABLES[args.which]
     if args.n_range:
         if args.r is None:
             raise ValueError("--n-range needs --r")
-        header = ["n"] + spec["columns"]
-        rows = [[str(n)] + spec["value"](args.r, n)
-                for n in _parse_range(args.n_range) if n >= spec["n_min"]]
+        classes = [None] if table.by_parity else table.columns
+        header = ["n"] + (["value"] if table.by_parity else list(classes))
+        rows = [[str(n)] + [str(table.value(args.r, n, c)) for c in classes]
+                for n in _parse_range(args.n_range) if n >= table.n_min]
     else:
-        if spec["parities"]:
-            header = ["n mod " + str(spec["period"]), "r odd", "r even"]
-            rows = [[str(res)]
-                    + [", ".join(spec["symbolic"](res, p)) for p in ("odd", "even")]
-                    for res in range(spec["period"])]
-        else:
-            header = ["n mod " + str(spec["period"])] + spec["columns"]
-            rows = [[str(res)] + spec["symbolic"](res, None)
-                    for res in range(spec["period"])]
+        header = [f"n mod {table.period}"] + list(table.columns)
+        rows = [[str(res)] + [table.symbol(term) for term in table.rows[res]]
+                for res in range(table.period)]
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
@@ -394,7 +345,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = add_parser(sub, "emit-table", help="print a residue table")
-    p.add_argument("which", choices=("1", "2", "3", "4", "5", "c3", "c3noroot"))
+    p.add_argument("which", choices=tuple(TABLES))
     p.add_argument("--r", type=int)
     p.add_argument("--n-range", help="evaluate rows for n in a..b")
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")

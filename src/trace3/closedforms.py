@@ -4,8 +4,11 @@ traces over the base field F_2, the all-zero-trace count over any F_{2^r},
 and the Moebius-inversion formula turning element counts into counts of
 irreducible polynomials with three zero leading coefficients.
 
-Every value is an exact integer or Fraction; half-integer powers of q only
-ever appear in combinations that cancel, which each evaluator asserts.
+The deviation tables are `ResidueTable`s (see `residues`): literal rows
+of single terms sign * poly(q) * 2^(r(n+ofs)/2 + plus), evaluated by the
+one exact evaluator there, which asserts that every half-integer power
+cancels.  The root-of-unity forms below are an independent route to the
+same deviations.
 """
 
 from fractions import Fraction
@@ -13,6 +16,8 @@ from functools import lru_cache
 
 from .cyclotomic import Cyc, imaginary_unit, sqrt2_power
 from .fourier import PeriodicFormula, deviation
+from .residues import (ALL_ZERO, BASE_FIELD, PARITY_COLUMNS, ResidueTable,
+                       evaluate)
 
 
 def moebius(n: int) -> int:
@@ -58,88 +63,60 @@ def carlitz_count(q: int, n: int, t1) -> int:
 # ---------------------------------------------------------------------------
 # base field F_2: deviations from the main term, periodic in n
 #
-# Entries are (c, s) meaning c * 2^((n-s)/2), None meaning 0; the parity of
-# s always matches the parity of the row's residue, so the power is integral.
+# Written c * 2^((n-s)/2), i.e. entries (sign, |c|, -s, 0) at r = 1; the
+# parity of s always matches the parity of the row's residue, so the power
+# is integral.
 
-_TWO_TRACE_ROWS = {
-    # n mod 8: {(t1, t2): entry}
-    0: {(0, 0): (-1, 2), (0, 1): (1, 2), (1, 0): None, (1, 1): None},
-    1: {(0, 0): (1, 3), (0, 1): (-1, 3), (1, 0): (1, 3), (1, 1): (-1, 3)},
-    2: {(0, 0): None, (0, 1): None, (1, 0): (-1, 2), (1, 1): (1, 2)},
-    3: {(0, 0): (-1, 3), (0, 1): (1, 3), (1, 0): (1, 3), (1, 1): (-1, 3)},
-    4: {(0, 0): (1, 2), (0, 1): (-1, 2), (1, 0): None, (1, 1): None},
-    5: {(0, 0): (-1, 3), (0, 1): (1, 3), (1, 0): (-1, 3), (1, 1): (1, 3)},
-    6: {(0, 0): None, (0, 1): None, (1, 0): (1, 2), (1, 1): (-1, 2)},
-    7: {(0, 0): (1, 3), (0, 1): (-1, 3), (1, 0): (-1, 3), (1, 1): (1, 3)},
-}
+TWO_TRACE_CLASSES = ("t1=0,t2=0", "t1=0,t2=1", "t1=1,t2=0", "t1=1,t2=1")
+TWO_TRACE_TABLE = ResidueTable(8, TWO_TRACE_CLASSES, BASE_FIELD, {
+    0: ((-1, "1", -2, 0), (1, "1", -2, 0), None, None),
+    1: ((1, "1", -3, 0), (-1, "1", -3, 0), (1, "1", -3, 0), (-1, "1", -3, 0)),
+    2: (None, None, (-1, "1", -2, 0), (1, "1", -2, 0)),
+    3: ((-1, "1", -3, 0), (1, "1", -3, 0), (1, "1", -3, 0), (-1, "1", -3, 0)),
+    4: ((1, "1", -2, 0), (-1, "1", -2, 0), None, None),
+    5: ((-1, "1", -3, 0), (1, "1", -3, 0), (-1, "1", -3, 0), (1, "1", -3, 0)),
+    6: (None, None, (1, "1", -2, 0), (-1, "1", -2, 0)),
+    7: ((1, "1", -3, 0), (-1, "1", -3, 0), (-1, "1", -3, 0), (1, "1", -3, 0)),
+}, main=(2, 0), n_min=2)
 
-_THREE_TRACE_ZERO_ROWS = {
-    # n mod 24: {(t2, t3): entry}, all with t1 = 0
-    0: {(0, 0): (-5, 4), (0, 1): (3, 4), (1, 0): (1, 4), (1, 1): (1, 4)},
-    1: {(0, 0): (3, 5), (0, 1): (-1, 5), (1, 0): (-1, 5), (1, 1): (-1, 5)},
-    2: {(0, 0): (1, 4), (0, 1): (-1, 4), (1, 0): (1, 4), (1, 1): (-1, 4)},
-    3: {(0, 0): None, (0, 1): (-1, 3), (1, 0): (-1, 3), (1, 1): (1, 1)},
-    4: {(0, 0): None, (0, 1): (1, 2), (1, 0): None, (1, 1): (-1, 2)},
-    5: {(0, 0): (-3, 5), (0, 1): (1, 5), (1, 0): (1, 5), (1, 1): (1, 5)},
-    6: {(0, 0): (1, 4), (0, 1): (-1, 4), (1, 0): (1, 4), (1, 1): (-1, 4)},
-    7: {(0, 0): (3, 5), (0, 1): (-1, 5), (1, 0): (-1, 5), (1, 1): (-1, 5)},
-    8: {(0, 0): (-1, 2), (0, 1): None, (1, 0): (-1, 2), (1, 1): (1, 0)},
-    9: {(0, 0): None, (0, 1): (1, 3), (1, 0): (1, 3), (1, 1): (-1, 1)},
-    10: {(0, 0): (1, 4), (0, 1): (-1, 4), (1, 0): (1, 4), (1, 1): (-1, 4)},
-    11: {(0, 0): (-3, 5), (0, 1): (1, 5), (1, 0): (1, 5), (1, 1): (1, 5)},
-    12: {(0, 0): (3, 4), (0, 1): (-1, 4), (1, 0): (-3, 4), (1, 1): (1, 4)},
-    13: {(0, 0): (-3, 5), (0, 1): (1, 5), (1, 0): (1, 5), (1, 1): (1, 5)},
-    14: {(0, 0): (1, 4), (0, 1): (-1, 4), (1, 0): (1, 4), (1, 1): (-1, 4)},
-    15: {(0, 0): None, (0, 1): (1, 3), (1, 0): (1, 3), (1, 1): (-1, 1)},
-    16: {(0, 0): (-1, 2), (0, 1): None, (1, 0): (-1, 2), (1, 1): (1, 0)},
-    17: {(0, 0): (3, 5), (0, 1): (-1, 5), (1, 0): (-1, 5), (1, 1): (-1, 5)},
-    18: {(0, 0): (1, 4), (0, 1): (-1, 4), (1, 0): (1, 4), (1, 1): (-1, 4)},
-    19: {(0, 0): (-3, 5), (0, 1): (1, 5), (1, 0): (1, 5), (1, 1): (1, 5)},
-    20: {(0, 0): None, (0, 1): (1, 2), (1, 0): None, (1, 1): (-1, 2)},
-    21: {(0, 0): None, (0, 1): (-1, 3), (1, 0): (-1, 3), (1, 1): (1, 1)},
-    22: {(0, 0): (1, 4), (0, 1): (-1, 4), (1, 0): (1, 4), (1, 1): (-1, 4)},
-    23: {(0, 0): (3, 5), (0, 1): (-1, 5), (1, 0): (-1, 5), (1, 1): (-1, 5)},
-}
-
-
-def _entry_value(entry, n: int) -> int:
-    if entry is None:
-        return 0
-    c, s = entry
-    assert (n - s) % 2 == 0, "half-integer power did not cancel"
-    if n >= s:
-        return c * (1 << ((n - s) // 2))
-    num = Fraction(c, 1 << ((s - n) // 2))
-    assert num.denominator == 1
-    return int(num)
+# the trace-zero classes t1 = 0
+THREE_TRACE_CLASSES = ("t2=0,t3=0", "t2=0,t3=1", "t2=1,t3=0", "t2=1,t3=1")
+THREE_TRACE_TABLE = ResidueTable(24, THREE_TRACE_CLASSES, BASE_FIELD, {
+    0: ((-1, "5", -4, 0), (1, "3", -4, 0), (1, "1", -4, 0), (1, "1", -4, 0)),
+    1: ((1, "3", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0)),
+    2: ((1, "1", -4, 0), (-1, "1", -4, 0), (1, "1", -4, 0), (-1, "1", -4, 0)),
+    3: (None, (-1, "1", -3, 0), (-1, "1", -3, 0), (1, "1", -1, 0)),
+    4: (None, (1, "1", -2, 0), None, (-1, "1", -2, 0)),
+    5: ((-1, "3", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0)),
+    6: ((1, "1", -4, 0), (-1, "1", -4, 0), (1, "1", -4, 0), (-1, "1", -4, 0)),
+    7: ((1, "3", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0)),
+    8: ((-1, "1", -2, 0), None, (-1, "1", -2, 0), (1, "1", 0, 0)),
+    9: (None, (1, "1", -3, 0), (1, "1", -3, 0), (-1, "1", -1, 0)),
+    10: ((1, "1", -4, 0), (-1, "1", -4, 0), (1, "1", -4, 0), (-1, "1", -4, 0)),
+    11: ((-1, "3", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0)),
+    12: ((1, "3", -4, 0), (-1, "1", -4, 0), (-1, "3", -4, 0), (1, "1", -4, 0)),
+    13: ((-1, "3", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0)),
+    14: ((1, "1", -4, 0), (-1, "1", -4, 0), (1, "1", -4, 0), (-1, "1", -4, 0)),
+    15: (None, (1, "1", -3, 0), (1, "1", -3, 0), (-1, "1", -1, 0)),
+    16: ((-1, "1", -2, 0), None, (-1, "1", -2, 0), (1, "1", 0, 0)),
+    17: ((1, "3", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0)),
+    18: ((1, "1", -4, 0), (-1, "1", -4, 0), (1, "1", -4, 0), (-1, "1", -4, 0)),
+    19: ((-1, "3", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0)),
+    20: (None, (1, "1", -2, 0), None, (-1, "1", -2, 0)),
+    21: (None, (-1, "1", -3, 0), (-1, "1", -3, 0), (1, "1", -1, 0)),
+    22: ((1, "1", -4, 0), (-1, "1", -4, 0), (1, "1", -4, 0), (-1, "1", -4, 0)),
+    23: ((1, "3", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0)),
+}, main=(3, 0), n_min=3)
 
 
 def two_trace_deviation(n: int, t1: int, t2: int) -> int:
     """f(n, t1, t2) = F_2(n, t1, t2) - 2^(n-2), period 8 in n (n >= 2)."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return _entry_value(_TWO_TRACE_ROWS[n % 8][(t1, t2)], n)
+    return TWO_TRACE_TABLE.deviation(1, n, f"t1={t1},t2={t2}")
 
 
 def count_two_traces(n: int, t1: int, t2: int) -> int:
     """Number of a in F_{2^n} with first two traces (t1, t2)."""
-    return (1 << (n - 2)) + two_trace_deviation(n, t1, t2)
-
-
-def _entry_symbolic(entry) -> str:
-    if entry is None:
-        return "0"
-    c, s = entry
-    coef = {1: "", -1: "-"}.get(c, f"{c}*")
-    return f"{coef}2^((n-{s})/2)"
-
-
-def two_trace_symbolic(residue: int, t1: int, t2: int) -> str:
-    return _entry_symbolic(_TWO_TRACE_ROWS[residue][(t1, t2)])
-
-
-def three_trace_symbolic(residue: int, t2: int, t3: int) -> str:
-    return _entry_symbolic(_THREE_TRACE_ZERO_ROWS[residue][(t2, t3)])
+    return TWO_TRACE_TABLE.count(1, n, f"t1={t1},t2={t2}")
 
 
 def three_trace_deviation(n: int, t1: int, t2: int, t3: int) -> int:
@@ -148,10 +125,11 @@ def three_trace_deviation(n: int, t1: int, t2: int, t3: int) -> int:
     The trace-zero classes come from the period-24 table; the trace-one
     classes are evaluated from their root-of-unity closed forms.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
+    term = THREE_TRACE_TABLE.term(1, n, f"t2={t2},t3={t3}")
     if t1 == 0:
-        return _entry_value(_THREE_TRACE_ZERO_ROWS[n % 24][(t2, t3)], n)
+        return evaluate(term, 1, n)
+    if t1 != 1:
+        raise ValueError(f"need t1 in (0, 1), got t1 = {t1}")
     dev = deviation(three_trace_formula(1, t2, t3), n)
     assert dev.denominator == 1
     return int(dev)
@@ -231,64 +209,40 @@ def three_trace_formula(t1: int, t2: int, t3: int) -> PeriodicFormula:
 # ---------------------------------------------------------------------------
 # all three traces zero over F_{2^r}: period 24 in n, split by parity of r
 #
-# The deviation from q^(n-3) is P(q) * q^E with P encoded as (a, b, c) for
-# a q^2 + b q + c, and E either n/2 - ofs (kind "h", even rows) or
-# (n-1)/2 - ofs (kind "g", odd rows).
+# The deviation from q^(n-3) is P(q) * q^((n+ofs)/2): q^(n/2-k) on even
+# rows (ofs = -2k), q^((n-1)/2-k) on odd rows (ofs = -1-2k).
 
-_P_MINUS_2Q2 = (-2, 1, 1)    # -(q-1)(2q+1)
-_P_Q2 = (1, 0, -1)           # q^2 - 1
-_P_NEG_Q2 = (-1, 0, 1)
-_P_Q = (0, 1, -1)            # q - 1
-_P_NEG_Q = (0, -1, 1)
-
-_F000_ROWS = {
-    # n mod 24: (term for odd r, term for even r); None = no deviation
-    0: ((_P_MINUS_2Q2, "h", 2), (_P_MINUS_2Q2, "h", 2)),
-    1: ((_P_Q2, "g", 2), (_P_Q2, "g", 2)),
-    2: ((_P_Q, "h", 2), (_P_Q, "h", 2)),
+ALL_ZERO_TABLE = ResidueTable(24, PARITY_COLUMNS, ALL_ZERO, {
+    0: ((-1, "(q-1)(2q+1)", -4, 0), (-1, "(q-1)(2q+1)", -4, 0)),
+    1: ((1, "(q^2-1)", -5, 0), (1, "(q^2-1)", -5, 0)),
+    2: ((1, "(q-1)", -4, 0), (1, "(q-1)", -4, 0)),
     3: (None, None),
     4: (None, None),
-    5: ((_P_NEG_Q2, "g", 2), (_P_Q2, "g", 2)),
-    6: ((_P_Q, "h", 2), (_P_NEG_Q, "h", 2)),
-    7: ((_P_Q2, "g", 2), (_P_Q2, "g", 2)),
-    8: ((_P_NEG_Q, "h", 1), (_P_NEG_Q, "h", 1)),
+    5: ((-1, "(q^2-1)", -5, 0), (1, "(q^2-1)", -5, 0)),
+    6: ((1, "(q-1)", -4, 0), (-1, "(q-1)", -4, 0)),
+    7: ((1, "(q^2-1)", -5, 0), (1, "(q^2-1)", -5, 0)),
+    8: ((-1, "(q-1)", -2, 0), (-1, "(q-1)", -2, 0)),
     9: (None, None),
-    10: ((_P_Q, "h", 2), (_P_Q, "h", 2)),
-    11: ((_P_NEG_Q2, "g", 2), (_P_Q2, "g", 2)),
-    12: ((_P_Q2, "h", 2), (_P_NEG_Q2, "h", 2)),
-    13: ((_P_NEG_Q2, "g", 2), (_P_Q2, "g", 2)),
-    14: ((_P_Q, "h", 2), (_P_Q, "h", 2)),
+    10: ((1, "(q-1)", -4, 0), (1, "(q-1)", -4, 0)),
+    11: ((-1, "(q^2-1)", -5, 0), (1, "(q^2-1)", -5, 0)),
+    12: ((1, "(q^2-1)", -4, 0), (-1, "(q^2-1)", -4, 0)),
+    13: ((-1, "(q^2-1)", -5, 0), (1, "(q^2-1)", -5, 0)),
+    14: ((1, "(q-1)", -4, 0), (1, "(q-1)", -4, 0)),
     15: (None, None),
-    16: ((_P_NEG_Q, "h", 1), (_P_NEG_Q, "h", 1)),
-    17: ((_P_Q2, "g", 2), (_P_Q2, "g", 2)),
-    18: ((_P_Q, "h", 2), (_P_NEG_Q, "h", 2)),
-    19: ((_P_NEG_Q2, "g", 2), (_P_Q2, "g", 2)),
+    16: ((-1, "(q-1)", -2, 0), (-1, "(q-1)", -2, 0)),
+    17: ((1, "(q^2-1)", -5, 0), (1, "(q^2-1)", -5, 0)),
+    18: ((1, "(q-1)", -4, 0), (-1, "(q-1)", -4, 0)),
+    19: ((-1, "(q^2-1)", -5, 0), (1, "(q^2-1)", -5, 0)),
     20: (None, None),
     21: (None, None),
-    22: ((_P_Q, "h", 2), (_P_Q, "h", 2)),
-    23: ((_P_Q2, "g", 2), (_P_Q2, "g", 2)),
-}
-
-
-def _f000_term(term, q: int, n: int) -> Fraction:
-    if term is None:
-        return Fraction(0)
-    (a, b, c), kind, ofs = term
-    poly = a * q * q + b * q + c
-    if kind == "h":
-        assert n % 2 == 0
-        exp = n // 2 - ofs
-    else:
-        assert n % 2 == 1
-        exp = (n - 1) // 2 - ofs
-    return poly * Fraction(q) ** exp
+    22: ((1, "(q-1)", -4, 0), (1, "(q-1)", -4, 0)),
+    23: ((1, "(q^2-1)", -5, 0), (1, "(q^2-1)", -5, 0)),
+}, main=(3, 0))
 
 
 def all_zero_deviation(r: int, n: int) -> Fraction:
     """F_q(n,0,0,0) - q^(n-3) as an exact rational (q = 2^r, n >= 1)."""
-    q = 1 << r
-    term = _F000_ROWS[n % 24][0 if r % 2 else 1]
-    return _f000_term(term, q, n)
+    return Fraction(ALL_ZERO_TABLE.deviation(r, n))
 
 
 def count_all_zero_traces(r: int, n: int) -> int:
@@ -297,25 +251,7 @@ def count_all_zero_traces(r: int, n: int) -> int:
     Valid for every n >= 1; for n = 1, 2 the missing traces are empty sums
     and the value is 1.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    q = 1 << r
-    val = Fraction(q) ** (n - 3) + all_zero_deviation(r, n)
-    assert val.denominator == 1 and val >= 0
-    return int(val)
-
-
-def f000_symbolic(residue: int, r_parity: str) -> str:
-    """Human-readable row of the all-zero-trace table."""
-    term = _F000_ROWS[residue][0 if r_parity == "odd" else 1]
-    if term is None:
-        return "q^(n-3)"
-    (a, b, c), kind, ofs = term
-    poly = {_P_MINUS_2Q2: "(q-1)(2q+1)", _P_Q2: "(q^2-1)",
-            _P_NEG_Q2: "(q^2-1)", _P_Q: "(q-1)", _P_NEG_Q: "(q-1)"}[(a, b, c)]
-    sign = "-" if (a, b, c) in (_P_MINUS_2Q2, _P_NEG_Q2, _P_NEG_Q) else "+"
-    exp = f"n/2-{ofs}" if kind == "h" else f"(n-1)/2-{ofs}"
-    return f"q^(n-3) {sign} {poly}*q^({exp})"
+    return ALL_ZERO_TABLE.count(r, n)
 
 
 # ---------------------------------------------------------------------------

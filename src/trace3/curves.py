@@ -9,6 +9,11 @@ four independent routes: exhaustive fiber counting, the periodic residue
 tables, the factored Frobenius characteristic polynomial with Newton power
 sums, and the root-of-unity spectral sums.  Projective counts throughout:
 one point at infinity per curve.
+
+The residue tables are `ResidueTable`s (see `residues`) holding the
+deviation from 2^(rn) + 1 as single terms sign * poly(q) *
+2^(r(n+ofs)/2 + plus): one table per combined curve and a pair (odd r,
+even r) per twist branch.
 """
 
 from dataclasses import dataclass
@@ -21,6 +26,7 @@ from . import anf
 from .cyclotomic import Cyc, sqrt2_power
 from .field import DEFAULT_ENUM_CAP, BudgetError, FieldContext, build_context
 from .quadforms import cubic_root_count
+from .residues import CURVE, PARITY_COLUMNS, ResidueTable
 
 
 @dataclass(frozen=True)
@@ -90,79 +96,76 @@ def count_points_oracle(spec: CurveSpec, n: int,
 
 
 # ---------------------------------------------------------------------------
-# residue tables for the combined curves
-#
-# Deviations from 2^(rn) + 1 are sign * coef(q) * 2^(r(n+ofs)/2 + plus),
-# encoded as (sign, coef_kind, ofs, plus) with coef kinds "1", "q-1", "q-2",
-# "q-3"; None = no deviation.  C1 is periodic mod 8, C2 and C3 mod 24.
+# residue tables for the combined curves: deviations from 2^(rn) + 1,
+# C1 periodic mod 8, C2 and C3 mod 24
 
-_C1_ROWS = {
-    0: ((-1, "q-1", 2, 0), (-1, "q-1", 2, 0)),
-    1: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
+_C1 = ResidueTable(8, PARITY_COLUMNS, CURVE, {
+    0: ((-1, "(q-1)", 2, 0), (-1, "(q-1)", 2, 0)),
+    1: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
     2: (None, None),
-    3: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    4: ((1, "q-1", 2, 0), (-1, "q-1", 2, 0)),
-    5: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
+    3: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    4: ((1, "(q-1)", 2, 0), (-1, "(q-1)", 2, 0)),
+    5: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
     6: (None, None),
-    7: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-}
+    7: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+})
 
-_C2_ROWS = {
-    0: ((-1, "q-1", 2, 1), (-1, "q-1", 2, 1)),
-    1: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    2: ((1, "q-1", 2, 0), (1, "q-1", 2, 0)),
-    3: ((-1, "q-1", 1, 0), (-1, "q-1", 1, 0)),
+_C2 = ResidueTable(24, PARITY_COLUMNS, CURVE, {
+    0: ((-1, "(q-1)", 2, 1), (-1, "(q-1)", 2, 1)),
+    1: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    2: ((1, "(q-1)", 2, 0), (1, "(q-1)", 2, 0)),
+    3: ((-1, "(q-1)", 1, 0), (-1, "(q-1)", 1, 0)),
     4: (None, None),
-    5: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    6: ((1, "q-1", 2, 0), (-1, "q-1", 2, 0)),
-    7: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    8: ((-1, "q-1", 2, 1), None),
-    9: ((1, "q-1", 1, 0), (-1, "q-1", 1, 0)),
-    10: ((1, "q-1", 2, 0), (1, "q-1", 2, 0)),
-    11: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    12: (None, (-1, "q-1", 2, 1)),
-    13: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    14: ((1, "q-1", 2, 0), (1, "q-1", 2, 0)),
-    15: ((1, "q-1", 1, 0), (-1, "q-1", 1, 0)),
-    16: ((-1, "q-1", 2, 1), None),
-    17: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    18: ((1, "q-1", 2, 0), (-1, "q-1", 2, 0)),
-    19: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
+    5: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    6: ((1, "(q-1)", 2, 0), (-1, "(q-1)", 2, 0)),
+    7: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    8: ((-1, "(q-1)", 2, 1), None),
+    9: ((1, "(q-1)", 1, 0), (-1, "(q-1)", 1, 0)),
+    10: ((1, "(q-1)", 2, 0), (1, "(q-1)", 2, 0)),
+    11: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    12: (None, (-1, "(q-1)", 2, 1)),
+    13: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    14: ((1, "(q-1)", 2, 0), (1, "(q-1)", 2, 0)),
+    15: ((1, "(q-1)", 1, 0), (-1, "(q-1)", 1, 0)),
+    16: ((-1, "(q-1)", 2, 1), None),
+    17: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    18: ((1, "(q-1)", 2, 0), (-1, "(q-1)", 2, 0)),
+    19: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
     20: (None, None),
-    21: ((-1, "q-1", 1, 0), (-1, "q-1", 1, 0)),
-    22: ((1, "q-1", 2, 0), (1, "q-1", 2, 0)),
-    23: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-}
+    21: ((-1, "(q-1)", 1, 0), (-1, "(q-1)", 1, 0)),
+    22: ((1, "(q-1)", 2, 0), (1, "(q-1)", 2, 0)),
+    23: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+})
 
-_C3_ROWS = {
-    0: ((-1, "q-1", 2, 1), (-1, "q-1", 2, 1)),
-    1: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
+_C3 = ResidueTable(24, PARITY_COLUMNS, CURVE, {
+    0: ((-1, "(q-1)", 2, 1), (-1, "(q-1)", 2, 1)),
+    1: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
     2: (None, None),
     3: ((1, "1", 1, 1), None),
     4: ((-1, "1", 2, 0), (1, "1", 2, 0)),
-    5: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
+    5: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
     6: (None, None),
-    7: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    8: ((-1, "q-3", 2, 0), (-1, "q-1", 2, 0)),
+    7: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    8: ((-1, "(q-3)", 2, 0), (-1, "(q-1)", 2, 0)),
     9: ((-1, "1", 1, 1), None),
     10: (None, None),
-    11: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-    12: ((1, "1", 4, 0), (-1, "q-2", 2, 0)),
-    13: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
+    11: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+    12: ((1, "1", 4, 0), (-1, "(q-2)", 2, 0)),
+    13: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
     14: (None, None),
     15: ((-1, "1", 1, 1), None),
-    16: ((-1, "q-3", 2, 0), (-1, "q-1", 2, 0)),
-    17: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
+    16: ((-1, "(q-3)", 2, 0), (-1, "(q-1)", 2, 0)),
+    17: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
     18: (None, None),
-    19: ((-1, "q-1", 1, 0), (1, "q-1", 1, 0)),
+    19: ((-1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
     20: ((-1, "1", 2, 0), (1, "1", 2, 0)),
     21: ((1, "1", 1, 1), None),
     22: (None, None),
-    23: ((1, "q-1", 1, 0), (1, "q-1", 1, 0)),
-}
+    23: ((1, "(q-1)", 1, 0), (1, "(q-1)", 1, 0)),
+})
 
 # twists of C3 whose cubic x^3 + x + 1/alpha has no root in F_{2^r}
-_C3_NOROOT_ROWS = {
+_C3_NOROOT = ResidueTable(24, PARITY_COLUMNS, CURVE, {
     0: ((-1, "1", 2, 1), (-1, "1", 2, 1)),
     1: ((1, "1", 1, 0), (1, "1", 1, 0)),
     2: (None, None),
@@ -187,46 +190,16 @@ _C3_NOROOT_ROWS = {
     21: ((1, "1", 1, 1), (-1, "1", 1, 1)),
     22: (None, None),
     23: ((1, "1", 1, 0), (1, "1", 1, 0)),
-}
+})
 
-_COEF_KINDS = {"1": lambda q: 1, "q-1": lambda q: q - 1,
-               "q-2": lambda q: q - 2, "q-3": lambda q: q - 3}
-
-
-def _row_deviation(entry, r: int, n: int) -> int:
-    if entry is None:
-        return 0
-    sign, kind, ofs, plus = entry
-    q = 1 << r
-    e = r * (n + ofs)
-    assert e % 2 == 0, "half-integer exponent did not cancel"
-    return sign * _COEF_KINDS[kind](q) * (1 << (e // 2 + plus))
+COMBINED_TABLES = {1: _C1, 2: _C2, 3: _C3}
 
 
 def closed_count_combined(family: int, r: int, n: int) -> int:
     """Point count of C_family over F_{2^(rn)} from its residue table."""
-    rows = {1: _C1_ROWS, 2: _C2_ROWS, 3: _C3_ROWS}[family]
-    period = 8 if family == 1 else 24
-    entry = rows[n % period][0 if r % 2 else 1]
-    return (1 << (r * n)) + 1 + _row_deviation(entry, r, n)
-
-
-def combined_symbolic(family: int, residue: int, r_parity: str) -> str:
-    rows = {1: _C1_ROWS, 2: _C2_ROWS, 3: _C3_ROWS}[family]
-    return _entry_symbolic(rows[residue][0 if r_parity == "odd" else 1])
-
-
-def noroot_symbolic(residue: int, r_parity: str) -> str:
-    return _entry_symbolic(_C3_NOROOT_ROWS[residue][0 if r_parity == "odd" else 1])
-
-
-def _entry_symbolic(entry) -> str:
-    if entry is None:
-        return "2^(rn)+1"
-    sign, kind, ofs, plus = entry
-    coef = "" if kind == "1" else f"(2^r-{kind[2:]})*"
-    tail = f"+{plus}" if plus else ""
-    return f"2^(rn)+1 {'-' if sign < 0 else '+'} {coef}2^(r(n+{ofs})/2{tail})"
+    if family not in COMBINED_TABLES:
+        raise ValueError("family must be 1, 2 or 3")
+    return COMBINED_TABLES[family].count(r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -249,44 +222,87 @@ def alpha_class(family: int, r: int, alpha: int) -> str:
     return f"{roots}-roots"
 
 
-def _twist_deviation(family: int, klass: str, r: int, n: int):
-    odd_r = bool(r % 2)
-    if family == 1:
-        if odd_r:
-            row = {1: (1, 1, 0), 7: (1, 1, 0), 3: (-1, 1, 0), 5: (-1, 1, 0),
-                   2: None, 6: None, 4: (1, 2, 0), 0: (-1, 2, 0)}[n % 8]
-        else:
-            row = {1: (1, 1, 0), 3: (1, 1, 0),
-                   2: None, 0: (-1, 2, 0)}[n % 4]
-        return row
-    if family == 2:
-        if odd_r:
-            return {1: (1, 1, 0), 7: (1, 1, 0), 3: (-1, 1, 0), 5: (-1, 1, 0),
-                    2: (1, 2, 0), 6: (1, 2, 0), 4: None, 0: (-1, 2, 1)}[n % 8]
-        if klass == "cube":
-            return {1: (1, 1, 0), 3: (1, 1, 0),
-                    2: (1, 2, 0), 0: (-1, 2, 1)}[n % 4]
-        return {1: (1, 1, 0), 2: (1, 2, 0),
-                3: (-1, 1, 1), 6: (-1, 2, 1)}[gcd(n, 6)]
-    # family 3
-    if klass == "0-roots":
-        entry = _C3_NOROOT_ROWS[n % 24][0 if odd_r else 1]
-        if entry is None:
-            return None
-        sign, _, ofs, plus = entry
-        return (sign, ofs, plus)
-    if klass == "3-roots":
-        if odd_r:
-            return {1: (1, 1, 0), 7: (1, 1, 0), 3: (-1, 1, 0), 5: (-1, 1, 0),
-                    2: None, 6: None, 4: (1, 2, 1), 0: (-1, 2, 1)}[n % 8]
-        return {1: (1, 1, 0), 3: (1, 1, 0), 5: (1, 1, 0), 7: (1, 1, 0),
-                2: None, 6: None, 4: (-1, 2, 1), 0: (-1, 2, 1)}[n % 8]
-    # one root
-    if odd_r:
-        return {1: (1, 1, 0), 7: (1, 1, 0), 3: (-1, 1, 0), 5: (-1, 1, 0),
-                2: None, 4: None, 6: None, 0: (-1, 2, 1)}[n % 8]
-    return {1: (1, 1, 0), 3: (1, 1, 0), 5: (1, 1, 0), 7: (1, 1, 0),
-            2: None, 4: None, 6: None, 0: (-1, 2, 1)}[n % 8]
+# Twist deviations from 2^(rn) + 1.  Each (family, class) has an odd-r and
+# an even-r table; their periods differ (8 and 4 for C1, 8 and 4 or 6 for
+# C2).  For odd r every alpha is a cube, so both C2 classes share one table.
+
+_C1_TWIST_ODD = ResidueTable(8, ("r odd",), CURVE, {
+    0: ((-1, "1", 2, 0),),
+    1: ((1, "1", 1, 0),),
+    2: (None,),
+    3: ((-1, "1", 1, 0),),
+    4: ((1, "1", 2, 0),),
+    5: ((-1, "1", 1, 0),),
+    6: (None,),
+    7: ((1, "1", 1, 0),),
+})
+
+_C1_TWIST_EVEN = ResidueTable(4, ("r even",), CURVE, {
+    0: ((-1, "1", 2, 0),),
+    1: ((1, "1", 1, 0),),
+    2: (None,),
+    3: ((1, "1", 1, 0),),
+})
+
+_C2_TWIST_ODD = ResidueTable(8, ("r odd",), CURVE, {
+    0: ((-1, "1", 2, 1),),
+    1: ((1, "1", 1, 0),),
+    2: ((1, "1", 2, 0),),
+    3: ((-1, "1", 1, 0),),
+    4: (None,),
+    5: ((-1, "1", 1, 0),),
+    6: ((1, "1", 2, 0),),
+    7: ((1, "1", 1, 0),),
+})
+
+_C2_TWIST_CUBE_EVEN = ResidueTable(4, ("r even",), CURVE, {
+    0: ((-1, "1", 2, 1),),
+    1: ((1, "1", 1, 0),),
+    2: ((1, "1", 2, 0),),
+    3: ((1, "1", 1, 0),),
+})
+
+# the deviation depends on n through gcd(n, 6)
+_C2_TWIST_NONCUBE_EVEN = ResidueTable(6, ("r even",), CURVE, {
+    0: ((-1, "1", 2, 1),),
+    1: ((1, "1", 1, 0),),
+    2: ((1, "1", 2, 0),),
+    3: ((-1, "1", 1, 1),),
+    4: ((1, "1", 2, 0),),
+    5: ((1, "1", 1, 0),),
+})
+
+_C3_TWIST_ONE_ROOT = ResidueTable(8, PARITY_COLUMNS, CURVE, {
+    0: ((-1, "1", 2, 1), (-1, "1", 2, 1)),
+    1: ((1, "1", 1, 0), (1, "1", 1, 0)),
+    2: (None, None),
+    3: ((-1, "1", 1, 0), (1, "1", 1, 0)),
+    4: (None, None),
+    5: ((-1, "1", 1, 0), (1, "1", 1, 0)),
+    6: (None, None),
+    7: ((1, "1", 1, 0), (1, "1", 1, 0)),
+})
+
+_C3_TWIST_THREE_ROOTS = ResidueTable(8, PARITY_COLUMNS, CURVE, {
+    0: ((-1, "1", 2, 1), (-1, "1", 2, 1)),
+    1: ((1, "1", 1, 0), (1, "1", 1, 0)),
+    2: (None, None),
+    3: ((-1, "1", 1, 0), (1, "1", 1, 0)),
+    4: ((1, "1", 2, 1), (-1, "1", 2, 1)),
+    5: ((-1, "1", 1, 0), (1, "1", 1, 0)),
+    6: (None, None),
+    7: ((1, "1", 1, 0), (1, "1", 1, 0)),
+})
+
+# (family, class) -> (table for odd r, table for even r)
+TWIST_TABLES = {
+    (1, "all"): (_C1_TWIST_ODD, _C1_TWIST_EVEN),
+    (2, "cube"): (_C2_TWIST_ODD, _C2_TWIST_CUBE_EVEN),
+    (2, "noncube"): (_C2_TWIST_ODD, _C2_TWIST_NONCUBE_EVEN),
+    (3, "0-roots"): (_C3_NOROOT, _C3_NOROOT),
+    (3, "1-roots"): (_C3_TWIST_ONE_ROOT, _C3_TWIST_ONE_ROOT),
+    (3, "3-roots"): (_C3_TWIST_THREE_ROOTS, _C3_TWIST_THREE_ROOTS),
+}
 
 
 def closed_count_twist(family: int, r: int, n: int, alpha: int = 1,
@@ -302,20 +318,15 @@ def closed_count_twist(family: int, r: int, n: int, alpha: int = 1,
     """
     if klass is None:
         klass = alpha_class(family, r, alpha)
-    entry = _twist_deviation(family, klass, r, n)
-    base = (1 << (r * n)) + 1
-    if entry is None:
-        return base
-    sign, ofs, plus = entry
-    e = r * (n + ofs)
-    assert e % 2 == 0
-    return base + sign * (1 << (e // 2 + plus))
+    if (family, klass) not in TWIST_TABLES:
+        raise ValueError(f"no twist class {klass} for family {family}")
+    odd, even = TWIST_TABLES[(family, klass)]
+    return (odd if r % 2 else even).count(r, n)
 
 
 def twist_classes(family: int, r: int) -> list:
     """The twist branches that actually occur over F_{2^r}, with a
     representative alpha and the number of alphas in each."""
-    ctx = build_context(r)
     found = {}
     for alpha in range(1, 1 << r):
         k = alpha_class(family, r, alpha)

@@ -43,9 +43,6 @@ class PeriodicFormula:
     def nonzero_indices(self):
         return [k for k, c in enumerate(self.coeffs) if not c.is_zero()]
 
-    def rational_flags(self):
-        return [c.is_rational() for c in self.coeffs]
-
     def normalized_value(self, n: int) -> Cyc:
         """sum_k g_k omega_P^(kn) in Q(zeta_L)."""
         step = self.order // self.period

@@ -141,8 +141,11 @@ def test_normalized_deviation_periodicity():
 
 
 def test_symbolic_rows():
-    assert cf.two_trace_symbolic(0, 0, 0) == "-2^((n-2)/2)"
-    assert cf.two_trace_symbolic(2, 0, 0) == "0"
-    assert cf.three_trace_symbolic(0, 0, 0) == "-5*2^((n-4)/2)"
-    assert cf.f000_symbolic(3, "odd") == "q^(n-3)"
-    assert "q^(n-3)" in cf.f000_symbolic(0, "even")
+    def symbol(table, residue, column):
+        return table.symbol(table.rows[residue][table.columns.index(column)])
+
+    assert symbol(cf.TWO_TRACE_TABLE, 0, "t1=0,t2=0") == "-2^((n-2)/2)"
+    assert symbol(cf.TWO_TRACE_TABLE, 2, "t1=0,t2=0") == "0"
+    assert symbol(cf.THREE_TRACE_TABLE, 0, "t2=0,t3=0") == "-5*2^((n-4)/2)"
+    assert symbol(cf.ALL_ZERO_TABLE, 3, "r odd") == "q^(n-3)"
+    assert "q^(n-3)" in symbol(cf.ALL_ZERO_TABLE, 0, "r even")
