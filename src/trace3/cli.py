@@ -82,9 +82,13 @@ def cmd_formula(args):
         value = cf.irreducible_all_zero(r, args.n)
         params = {"q": args.q, "n": args.n}
     elif kind == "table1":
-        value = cf.two_trace_deviation(args.n, args.t1, args.t2)
+        # tables 1 and 2 hold r = 1 only: the lookup with --r rejects
+        # any other r
+        value = TABLES["1"].deviation(args.r, args.n,
+                                      f"t1={args.t1},t2={args.t2}")
         params = {"n": args.n, "t1": args.t1, "t2": args.t2}
     elif kind == "table2":
+        TABLES["2"].term(args.r, args.n, f"t2={args.t2},t3={args.t3}")
         value = cf.three_trace_deviation(args.n, args.t1, args.t2, args.t3)
         params = {"n": args.n, "t1": args.t1, "t2": args.t2, "t3": args.t3}
     else:
@@ -232,6 +236,8 @@ def cmd_emit_table(args):
         if args.r is None:
             raise ValueError("--n-range needs --r")
         classes = [None] if table.by_parity else table.columns
+        # check r once: a range below n_min makes no lookup in the rows
+        table.term(args.r, table.n_min, classes[0])
         header = ["n"] + (["value"] if table.by_parity else list(classes))
         rows = [[str(n)] + [str(table.value(args.r, n, c)) for c in classes]
                 for n in _parse_range(args.n_range) if n >= table.n_min]

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .cyclotomic import Cyc, imaginary_unit, sqrt2_power
 from .fourier import PeriodicFormula, deviation
 from .residues import (ALL_ZERO, BASE_FIELD, PARITY_COLUMNS, ResidueTable,
-                       evaluate)
+                       check_rn, evaluate)
 
 
 def moebius(n: int) -> int:
@@ -343,6 +343,7 @@ def _f000_groups(r: int):
 def count_all_zero_traces_spectral(r: int, n: int) -> int:
     """The all-zero-trace count evaluated from its root-of-unity expansion
     q^(n-3) - q^(n/2-3) * sum over eigenvalue groups, exactly in Q(zeta_24)."""
+    check_rn(r, n)
     q = 1 << r
     acc = Cyc.rational(24, 0)
     for coef, exps in _f000_groups(r):

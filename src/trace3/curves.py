@@ -26,7 +26,7 @@ from . import anf
 from .cyclotomic import Cyc, sqrt2_power
 from .field import DEFAULT_ENUM_CAP, BudgetError, FieldContext, build_context
 from .quadforms import cubic_root_count
-from .residues import CURVE, PARITY_COLUMNS, ResidueTable
+from .residues import CURVE, PARITY_COLUMNS, ResidueTable, check_rn
 
 
 @dataclass(frozen=True)
@@ -430,6 +430,7 @@ def frobenius_charpoly(family: int, r: int) -> FrobeniusData:
     """Characteristic polynomial of Frobenius for the combined curve, as
     supersingular quadratic/quartic factors with binomial-free integer
     multiplicities (sqrt(2q) for odd r, sqrt(q) for even r are integers)."""
+    check_rn(r)
     q = 1 << r
     raw = []
     if r % 2:
@@ -510,6 +511,7 @@ def power_sum_sequence(fd: FrobeniusData, n: int) -> int:
 def charpoly_count(family: int, r: int, n: int,
                    fd: FrobeniusData = None) -> int:
     """Point count over F_{2^(rn)} predicted by q^n + 1 - S_n."""
+    check_rn(r, n)
     if fd is None:
         fd = frobenius_charpoly(family, r)
     return (1 << (r * n)) + 1 - power_sum_sequence(fd, n)
@@ -629,6 +631,7 @@ def spectral_count(family: int, r: int, n: int) -> int:
     """Point count of the combined curve from its root-of-unity expansion
     q^n + 1 - sum_groups c * (sqrt q)^n * sum_k omega_24^(kn), evaluated
     exactly in Q(zeta_24)."""
+    check_rn(r, n)
     acc = Cyc.rational(24, 0)
     for coef, exps in _spectral_groups(family, r):
         grp = Cyc.rational(24, 0)

@@ -1,12 +1,16 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_P).
 
-Elements are coordinate vectors of Fractions in the power basis
-1, z, ..., z^(d-1) modulo the P-th cyclotomic polynomial (d = deg Phi_P).
-No floating point anywhere; equality and rationality are decidable.
+An element is a tuple of integer numerators over one positive common
+denominator, num / den, in the power basis 1, z, ..., z^(d-1) modulo the
+P-th cyclotomic polynomial (d = deg Phi_P).  It is kept in lowest terms
+(den > 0, gcd(den, *num) == 1), so equal elements have equal tuples and
+equality and rationality are decided on integers.  Arithmetic works on
+ints and reduces each result once; no floating point anywhere.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 MAX_ORDER = 120
 
@@ -37,121 +41,172 @@ def _poly_div_exact(num, den):
 
 
 @lru_cache(maxsize=None)
-def _monomial_table(p: int) -> tuple:
-    """Reduction of z^k modulo Phi_p for k = 0..p-1, as coordinate tuples."""
+def _degree(p: int) -> int:
+    """d = deg Phi_p, the number of coordinates; rejects orders out of range."""
+    if not 1 <= p <= MAX_ORDER:
+        raise ValueError(f"order {p} out of range 1..{MAX_ORDER}")
+    return len(cyclotomic_polynomial(p)) - 1
+
+
+@lru_cache(maxsize=None)
+def _phi_tail(p: int) -> tuple:
+    """The nonzero lower coefficients (j, c_j) of the monic Phi_p: the
+    reduction z^d = -sum_j c_j z^j."""
     phi = cyclotomic_polynomial(p)
-    d = len(phi) - 1
+    return tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+@lru_cache(maxsize=None)
+def _monomial_table(p: int) -> tuple:
+    """Reduction of z^k modulo Phi_p for k = 0..p-1, as integer rows."""
+    d = _degree(p)
     rows = []
-    cur = [Fraction(0)] * d
-    cur[0] = Fraction(1)
+    cur = [1] + [0] * (d - 1)
     for _ in range(p):
         rows.append(tuple(cur))
         # multiply by z
         carry = cur[-1]
-        cur = [Fraction(0)] + cur[:-1]
-        if carry:
-            for j in range(d):
-                cur[j] -= carry * phi[j]
+        cur = [0] + cur[:-1]
+        for j, c in _phi_tail(p):
+            cur[j] -= carry * c
     return tuple(rows)
 
 
-class Cyc:
-    """An element of Q(zeta_P)."""
+def _new(p: int, num: tuple, den: int) -> "Cyc":
+    """num / den in lowest terms, built without Cyc.__init__ (den > 0)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(a // g for a in num)
+            den //= g
+    x = object.__new__(Cyc)
+    x.p = p
+    x.num = num
+    x.den = den
+    return x
 
-    __slots__ = ("p", "coords")
+
+def _combine(rows, coeffs, d: int) -> tuple:
+    """sum_j coeffs[j] * rows[j] over the nonzero coeffs, as an int tuple."""
+    out = [0] * d
+    for row, c in zip(rows, coeffs):
+        if c:
+            for t, v in enumerate(row):
+                if v:
+                    out[t] += c * v
+    return tuple(out)
+
+
+class Cyc:
+    """An element of Q(zeta_P): num / den with integer numerators."""
+
+    __slots__ = ("p", "num", "den")
 
     def __init__(self, p: int, coords):
-        if not 1 <= p <= MAX_ORDER:
-            raise ValueError(f"order {p} out of range 1..{MAX_ORDER}")
-        d = len(cyclotomic_polynomial(p)) - 1
-        coords = tuple(Fraction(c) for c in coords)
-        assert len(coords) == d
+        d = _degree(p)
+        coords = [Fraction(c) for c in coords]
+        if len(coords) != d:
+            raise ValueError(f"need {d} coordinates for order {p}, "
+                             f"got {len(coords)}")
+        # the lcm of reduced denominators leaves numerators with gcd 1
+        den = lcm(*(c.denominator for c in coords))
         self.p = p
-        self.coords = coords
+        self.num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        self.den = den
+
+    @property
+    def coords(self) -> tuple:
+        """The coordinates as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     @classmethod
     def rational(cls, p: int, value) -> "Cyc":
-        d = len(cyclotomic_polynomial(p)) - 1
-        return cls(p, (Fraction(value),) + (Fraction(0),) * (d - 1))
+        value = Fraction(value)
+        d = _degree(p)
+        return _new(p, (value.numerator,) + (0,) * (d - 1), value.denominator)
 
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> "Cyc":
         """zeta_P^k for any integer k."""
-        return cls(p, _monomial_table(p)[k % p])
+        return _new(p, _monomial_table(p)[k % p], 1)
 
     def _check(self, other):
         if self.p != other.p:
             raise ValueError("mixed cyclotomic orders")
 
     def __add__(self, other):
-        self._check(other)
-        return Cyc(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._plus(other, 1)
 
     def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "Cyc":
         self._check(other)
-        return Cyc(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        a, b = self.den, other.den
+        g = gcd(a, b)
+        fa, fb = b // g, sign * (a // g)
+        return _new(self.p, tuple(x * fa + y * fb
+                                  for x, y in zip(self.num, other.num)),
+                    a * (b // g))
 
     def __neg__(self):
-        return Cyc(self.p, tuple(-a for a in self.coords))
+        return _new(self.p, tuple(-a for a in self.num), self.den)
 
     def scale(self, c) -> "Cyc":
         c = Fraction(c)
-        return Cyc(self.p, tuple(a * c for a in self.coords))
+        return _new(self.p, tuple(a * c.numerator for a in self.num),
+                    self.den * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        d = len(self.coords)
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
+        d = len(self.num)
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coords):
+                for j, b in enumerate(other.num):
                     if b:
                         prod[i + j] += a * b
-        phi = cyclotomic_polynomial(self.p)
+        tail = _phi_tail(self.p)
         for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c:
-                prod[k] = Fraction(0)
-                for j in range(d):
-                    prod[k - d + j] -= c * phi[j]
-        return Cyc(self.p, tuple(prod[:d]))
+                for j, cj in tail:
+                    prod[k - d + j] -= c * cj
+        return _new(self.p, tuple(prod[:d]), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.as_rational() == other
-        return self.p == other.p and self.coords == other.coords
+        return (self.p == other.p and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.p, self.coords))
+        return hash((self.p, self.num, self.den))
 
     def __repr__(self):
         return f"Cyc({self.p}, {[str(c) for c in self.coords]})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self!r}")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def conj(self) -> "Cyc":
         """Complex conjugate (zeta -> zeta^(-1))."""
-        table = _monomial_table(self.p)
-        out = [Fraction(0)] * len(self.coords)
-        for j, c in enumerate(self.coords):
-            if c:
-                row = table[(self.p - j) % self.p]
-                for k, v in enumerate(row):
-                    out[k] += c * v
-        return Cyc(self.p, tuple(out))
+        p = self.p
+        table = _monomial_table(p)
+        rows = [table[-j % p] for j in range(len(self.num))]
+        return _new(p, _combine(rows, self.num, len(self.num)), self.den)
 
     def norm_squared(self) -> "Cyc":
         return self * self.conj()
@@ -188,11 +243,5 @@ def embed(x: Cyc, p: int) -> Cyc:
         raise ValueError(f"{x.p} does not divide {p}")
     k = p // x.p
     table = _monomial_table(p)
-    d = len(cyclotomic_polynomial(p)) - 1
-    out = [Fraction(0)] * d
-    for j, c in enumerate(x.coords):
-        if c:
-            row = table[(j * k) % p]
-            for t, v in enumerate(row):
-                out[t] += c * v
-    return Cyc(p, tuple(out))
+    rows = [table[(j * k) % p] for j in range(len(x.num))]
+    return _new(p, _combine(rows, x.num, _degree(p)), x.den)

@@ -24,6 +24,15 @@ POLYS = {
 }
 
 
+def check_rn(r: int, n: int = 1, n_min: int = 1):
+    """Reject r < 1 or n < n_min with ValueError: the one boundary check
+    of (r, n) for the tables and for the spectral and charpoly routes."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r = {r}")
+    if n < n_min:
+        raise ValueError(f"need n >= {n_min}, got n = {n}")
+
+
 def evaluate(term, r: int, n: int):
     """Exact value of one entry at (r, n): an int, or a Fraction when the
     exponent is negative (the all-zero table at n = 1, 2)."""
@@ -72,10 +81,7 @@ class ResidueTable:
     def term(self, r: int, n: int, column: str = None):
         """The entry at (r, n); `column` names the class in a class table.
         Every lookup passes here, and bad input raises ValueError."""
-        if r < 1:
-            raise ValueError(f"need r >= 1, got r = {r}")
-        if n < self.n_min:
-            raise ValueError(f"need n >= {self.n_min}")
+        check_rn(r, n, self.n_min)
         if self.by_parity:
             if column is not None:
                 raise ValueError("a parity table takes no class")

@@ -6,8 +6,12 @@ import resource
 import subprocess
 import sys
 
+import pytest
+
 import trace3
 from trace3.cli import main
+
+DATA = os.path.join(os.path.dirname(__file__), "data", "fourier")
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +105,17 @@ def test_curve_count_method_restrictions(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("charpoly", "--family", "c3", "--r", "0"),
+    ("count", "--family", "c1", "--r", "1", "--n", "0", "--method", "fourier"),
+    ("count", "--family", "c1", "--r", "1", "--n", "0", "--method", "charpoly"),
+    ("count", "--family", "c3", "--r", "0", "--n", "3", "--method", "fourier"),
+], ids=["charpoly-r0", "fourier-n0", "charpoly-n0", "fourier-r0"])
+def test_curve_rejects_r_or_n_below_1(capsys, argv):
+    code, out, err = run_cli(capsys, "curve", *argv)
+    assert code == 2 and out == "" and err.startswith("error: need ")
+
+
 def test_curve_charpoly(capsys):
     code, out, _ = run_cli(capsys, "curve", "charpoly", "--family", "c1",
                            "--r", "1")
@@ -133,6 +148,26 @@ def test_fourier_analyze(capsys, tmp_path):
     assert payload["coefficients"] == [
         {"k": 3, "numerator": "-1", "denominator": "4"},
         {"k": 5, "numerator": "-1", "denominator": "4"}]
+
+
+def test_fourier_analyze_irrational_golden(capsys):
+    # the period-24 class t = (1, 0, 0): six coefficients outside Q are
+    # printed as coordinate lists; both files were written before Cyc moved
+    # to integer numerators
+    from trace3.closedforms import three_trace_deviation
+    path = os.path.join(DATA, "three_trace_1_0_0.csv")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["n", "value"])
+    writer.writerows([n, three_trace_deviation(n, 1, 0, 0)] for n in range(3, 60))
+    with open(path, newline="") as handle:
+        assert out.getvalue() == handle.read()
+    code, out, _ = run_cli(capsys, "fourier", "analyze", "--q", "2",
+                           "--input", path)
+    with open(os.path.join(DATA, "three_trace_1_0_0_analyze.json")) as handle:
+        expected = handle.read()
+    assert code == 0 and out == expected
+    assert out.count('"coordinates"') == 6
 
 
 def test_verify_tiny_budget(capsys):

@@ -70,6 +70,12 @@ def test_all_zero_small_n_convention():
         assert cf.count_all_zero_traces(r, 2) == 1
 
 
+@pytest.mark.parametrize("r,n", [(0, 5), (1, 0)])
+def test_all_zero_spectral_rejects_r_or_n_below_1(r, n):
+    with pytest.raises(ValueError):
+        cf.count_all_zero_traces_spectral(r, n)
+
+
 @pytest.mark.parametrize("r,n_max", [(1, 16), (2, 8), (3, 5), (4, 4)])
 def test_all_zero_vs_census(r, n_max):
     for n in range(1, n_max + 1):

@@ -157,6 +157,17 @@ def test_supersingularity_certificate_rejects_ordinary():
     assert not supersingularity_certificate((2, [(1, -3, 2)]))
 
 
+@pytest.mark.parametrize("route,args", [
+    (spectral_count, (1, 1, 0)), (spectral_count, (3, 0, 3)),
+    (charpoly_count, (1, 1, 0)), (charpoly_count, (3, 0, 3)),
+    (frobenius_charpoly, (3, 0)),
+], ids=["spectral-n0", "spectral-r0", "charpoly-n0", "charpoly-r0",
+        "frobenius-r0"])
+def test_routes_reject_r_or_n_below_1(route, args):
+    with pytest.raises(ValueError):
+        route(*args)
+
+
 def test_spectral_spot_values():
     assert spectral_count(1, 1, 2) == 5
     assert spectral_count(2, 2, 6) == 3329

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -54,6 +55,129 @@ def test_embed():
     z24 = Cyc.zeta_pow(24, 3)
     assert embed(z8, 24) == z24
     assert embed(sqrt2(8), 24) == sqrt2(24)
+
+
+# ---------------------------------------------------------------------------
+# Cyc against a reference on Fraction coordinates
+
+CROSS_ORDERS = (1, 2, 3, 4, 6, 8, 12, 24, 48, 120)
+
+
+def _ref_reduce(p, poly):
+    """Fraction coordinates of sum_k poly[k] z^k modulo Phi_p."""
+    phi = cyclotomic_polynomial(p)
+    d = len(phi) - 1
+    poly = [Fraction(c) for c in poly] + [Fraction(0)] * d
+    for k in range(len(poly) - 1, d - 1, -1):
+        c = poly[k]
+        for j in range(d + 1):
+            poly[k - d + j] -= c * phi[j]
+    return tuple(poly[:d])
+
+
+def _ref_mul(p, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(p, prod)
+
+
+def _ref_monomial(p, k):
+    return _ref_reduce(p, [0] * (k % p) + [1])
+
+
+def _ref_substitute(p, coords, k):
+    """Fraction coordinates of sum_j coords[j] z^(jk) modulo Phi_p: the
+    conjugate for k = -1, the embedding of an element of Q(zeta_(p/k))
+    for k dividing p."""
+    poly = [Fraction(0)] * p
+    for j, c in enumerate(coords):
+        poly[(j * k) % p] += c
+    return _ref_reduce(p, poly)
+
+
+def _ref_sqrt2_power(p, e):
+    half, odd = divmod(e, 2)
+    out = _ref_reduce(p, [Fraction(2) ** half])
+    if odd:
+        s = [a + b for a, b in zip(_ref_monomial(p, p // 8),
+                                   _ref_monomial(p, -p // 8))]
+        out = _ref_mul(p, out, s)
+    return out
+
+
+def _random_coords(rng, d):
+    return [Fraction(rng.randrange(-30, 31), rng.randrange(1, 13))
+            if rng.random() < 0.7 else Fraction(0) for _ in range(d)]
+
+
+def _check(got, want):
+    assert got.den > 0 and gcd(got.den, *got.num) == 1  # lowest terms
+    assert got.coords == tuple(want)
+
+
+@pytest.mark.parametrize("p", CROSS_ORDERS)
+def test_cyc_matches_fraction_reference(p):
+    rng = random.Random(p)
+    d = len(cyclotomic_polynomial(p)) - 1
+    for _ in range(12):
+        a, b = _random_coords(rng, d), _random_coords(rng, d)
+        c = Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
+        x, y = Cyc(p, a), Cyc(p, b)
+        _check(x, a)
+        _check(x + y, [u + v for u, v in zip(a, b)])
+        _check(x - y, [u - v for u, v in zip(a, b)])
+        _check(-x, [-u for u in a])
+        _check(x.scale(c), [u * c for u in a])
+        _check(x * c, [u * c for u in a])
+        _check(3 * x, [u * 3 for u in a])
+        _check(x * y, _ref_mul(p, a, b))
+        conj = _ref_substitute(p, a, -1)
+        _check(x.conj(), conj)
+        _check(x.norm_squared(), _ref_mul(p, a, conj))
+        assert x + y - y == x and hash(x + y - y) == hash(x)
+        for k in (-2 * p - 1, -3, -1, 0, 1, p + 2):
+            _check(Cyc.zeta_pow(p, k), _ref_monomial(p, k))
+        for m in (1, 2, 3, 5):
+            if p * m <= 120:
+                _check(embed(x, p * m), _ref_substitute(p * m, a, m))
+        value = Fraction(rng.randrange(-50, 51), rng.randrange(1, 50))
+        rat = Cyc.rational(p, value)
+        _check(rat, [value] + [0] * (d - 1))
+        assert rat.is_rational() and rat.as_rational() == value and rat == value
+        _check(rat * x, [u * value for u in a])
+    if p % 8 == 0:
+        for e in range(-7, 8):
+            _check(sqrt2_power(p, e), _ref_sqrt2_power(p, e))
+
+
+def test_cyc_equal_values_have_equal_hashes():
+    half = Cyc.rational(24, Fraction(2, 4))
+    same = Cyc(24, [Fraction(1, 2)] + [0] * 7)
+    assert half == same and hash(half) == hash(same)
+    assert half.den == 2 and half.num == (1,) + (0,) * 7
+    # cancellation back to an integer reaches the same canonical tuple
+    third = Cyc.rational(24, Fraction(1, 3))
+    total = third + third + third
+    assert total == Cyc.rational(24, 1) and hash(total) == hash(Cyc.rational(24, 1))
+    assert total.den == 1
+    zero = Cyc.zeta_pow(24, 5).scale(Fraction(7, 9)) - Cyc.zeta_pow(24, 5).scale(
+        Fraction(14, 18))
+    assert zero.is_zero() and zero == Cyc.rational(24, 0) and zero.den == 1
+    assert hash(zero) == hash(Cyc(24, [0] * 8))
+    assert len({half, same, Cyc(24, [Fraction(3, 6)] + [0] * 7)}) == 1
+
+
+def test_cyc_rejects_bad_input():
+    with pytest.raises(ValueError):
+        Cyc(0, [])
+    with pytest.raises(ValueError):
+        Cyc(121, [0] * 32)
+    with pytest.raises(ValueError):
+        Cyc(24, [1, 2])
+    with pytest.raises(ValueError):
+        Cyc.zeta_pow(8, 1) + Cyc.zeta_pow(24, 3)
 
 
 @pytest.mark.parametrize("period", [8, 12, 24])

@@ -28,6 +28,9 @@ def run_cli(capsys, *argv):
     ("emit-table", "c3", "--r", "0", "--n-range", "1..2"),
     ("emit-table", "1", "--r", "3", "--n-range", "2..4"),
     ("emit-table", "2", "--r", "2", "--n-range", "3..4"),
+    ("formula", "table1", "--r", "3", "--n", "5"),
+    ("formula", "table2", "--r", "3", "--n", "5"),
+    ("emit-table", "1", "--r", "3", "--n-range", "1..1"),
 ])
 def test_bad_table_lookup_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
