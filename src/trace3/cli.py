@@ -359,17 +359,73 @@ def build_parser():
     return parser
 
 
+def _flags(parser):
+    """dest -> action of each flag this parser sets itself.  The shared flags
+    repeated after a subcommand default to SUPPRESS and are left out: their
+    default belongs to the top level."""
+    return {action.dest: action for action in parser._actions
+            if action.option_strings
+            and action.default is not argparse.SUPPRESS}
+
+
+def _subparsers(parser):
+    return next((action for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), None)
+
+
+def _all_parsers(parser):
+    yield parser
+    subs = _subparsers(parser)
+    for sub in subs.choices.values() if subs else ():
+        yield from _all_parsers(sub)
+
+
+def _config_value(key, action, value):
+    """A config value, converted and checked as if given as the flag."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r}: expected true or false")
+        return value
+    try:
+        value = (action.type or str)(str(value))
+    except ValueError:
+        raise ValueError(
+            f"config key {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"config key {key!r}: invalid choice {value!r}")
+    return value
+
+
+def _apply_config(parser, args):
+    """Make the JSON object in args.config the defaults of the flags of the
+    command that args ran, so that flags given explicitly still win when
+    argv is parsed again.  A key that names no flag of any command is an
+    error; the others are applied where the command has them."""
+    with open(args.config) as handle:
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config}: expected a JSON object")
+    config = {key.replace("-", "_"): value for key, value in config.items()}
+    known = {dest for p in _all_parsers(parser) for dest in _flags(p)}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    p = parser
+    while p is not None:
+        flags = _flags(p)
+        p.set_defaults(**{key: _config_value(key, flags[key], value)
+                          for key, value in config.items() if key in flags})
+        subs = _subparsers(p)
+        p = subs.choices[getattr(args, subs.dest)] if subs else None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        with open(args.config) as handle:
-            defaults = json.load(handle)
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and parser.get_default(attr) == getattr(args, attr):
-                setattr(args, attr, value)
     try:
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (BudgetError,) as exc:
         print(f"budget error: {exc}", file=sys.stderr)

@@ -13,6 +13,7 @@ same deviations.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .cyclotomic import Cyc, imaginary_unit, sqrt2_power
 from .fourier import PeriodicFormula, deviation
@@ -38,8 +39,10 @@ def moebius(n: int) -> int:
 
 
 def divisors(n: int) -> list:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n, ascending (none for n < 1): the divisors up
+    to sqrt(n), then their cofactors."""
+    low = [d for d in range(1, isqrt(max(n, 0)) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def gauss_count(q: int, n: int) -> int:

@@ -10,6 +10,29 @@ from . import gf2x
 
 MAX_DEGREE = 64
 DEFAULT_ENUM_CAP = 26
+LOG_MAX_DEGREE = 16  # mul by log/antilog lists up to here, windowed above
+
+
+def _byte_tables(images: list) -> list:
+    """Byte-sliced table of the GF(2)-linear map sending 1 << i to images[i]:
+    list j maps byte j of an input to the image of that byte (the last list
+    is shorter when len(images) is not a multiple of 8)."""
+    tables = []
+    for lo in range(0, len(images), 8):
+        table = [0]
+        for image in images[lo:lo + 8]:
+            table += [v ^ image for v in table]
+        tables.append(table)
+    return tables
+
+
+def _apply(tables: list, a: int) -> int:
+    """The image of a under a map given by `_byte_tables`."""
+    r = 0
+    for table in tables:
+        r ^= table[a & 0xFF]
+        a >>= 8
+    return r
 
 
 class BudgetError(ValueError):
@@ -17,7 +40,27 @@ class BudgetError(ValueError):
 
 
 class FieldContext:
-    """Arithmetic context for F_{2^m} under the canonical degree-m modulus."""
+    """Arithmetic context for F_{2^m} under the canonical degree-m modulus.
+
+    Every operation runs on tables that depend only on m (and on k for
+    Frobenius^k, on r for the trace to F_{2^r}), never on the operands.
+    There are three kernels:
+
+    - GF(2)-linear maps (squaring, Frobenius^k, relative traces) are
+      byte-sliced tables: list j maps byte j of the input to the image of
+      that byte, so a map costs one lookup per byte.  The squaring table is
+      built with the context; the others on first use.
+    - For m <= LOG_MAX_DEGREE, `mul` adds discrete logarithms to the base
+      of the smallest primitive element.  The log and antilog lists are
+      built on the first `mul`.
+    - For larger m, `mul` forms the carry-less product with a 4-bit window
+      over b against the 16 multiples of a, then reduces the high half
+      8 bits at a time with a table of the multiples of the modulus by
+      t * x^m, t < 256, built on the first `mul`.
+
+    A lazily built table is stored only once complete, so concurrent
+    callers can at worst build the same table twice.
+    """
 
     def __init__(self, m: int):
         if not 1 <= m <= MAX_DEGREE:
@@ -25,11 +68,18 @@ class FieldContext:
         self.m = m
         self.order = 1 << m
         self.modulus = gf2x.canonical_modulus(m)
+        self._sqr = _byte_tables([gf2x.mod(1 << (2 * i), self.modulus)
+                                  for i in range(m)])
+        self._frobenius = {1: self._sqr}  # k -> tables of a -> a^(2^k)
+        self._trace = {}                  # r -> tables of Tr_{m/r}
+        self._exp_log = None              # (antilog, log), m <= LOG_MAX_DEGREE
+        self._reduce = None               # reduction table, m > LOG_MAX_DEGREE
+        # high-half bytes of a product of degree <= 2m - 2, top one first
+        self._reduce_shifts = tuple(range(8 * ((m - 2) // 8), -1, -8))
         # bit i set iff the absolute trace of x^i is 1
         self._trace_mask = 0
-        for i in range(m):
-            if self._raw_trace(1 << i):
-                self._trace_mask |= 1 << i
+        for i, t in enumerate(self._trace_images(1)):
+            self._trace_mask |= t << i
         self._subfield_cache = {}
 
     def __repr__(self):
@@ -46,10 +96,65 @@ class FieldContext:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        return gf2x.mulmod(a, b, self.modulus)
+        if not (a and b):
+            return 0
+        if self.m > LOG_MAX_DEGREE:
+            return self._mul_window(a, b)
+        exp, log = self._exp_log or self._build_exp_log()
+        return exp[log[a] + log[b]]
+
+    def _mul_window(self, a: int, b: int) -> int:
+        a2 = a << 1
+        a3 = a2 ^ a
+        a4 = a << 2
+        a8 = a << 3
+        a12 = a8 ^ a4
+        multiples = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+                     a8, a8 ^ a, a8 ^ a2, a8 ^ a3,
+                     a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
+        r = 0
+        shift = 0
+        while b:
+            r ^= multiples[b & 15] << shift
+            b >>= 4
+            shift += 4
+        reduce = self._reduce or self._build_reduce()
+        m = self.m
+        for shift in self._reduce_shifts:
+            # higher bytes are already clear, so r >> (m + shift) < 256
+            r ^= reduce[r >> (m + shift)] << shift
+        return r
+
+    def _build_reduce(self) -> list:
+        """Entry t: the multiple of the modulus whose bits from x^m up are t."""
+        m, f = self.m, self.modulus
+        table = _byte_tables([(1 << (m + i)) ^ gf2x.mod(1 << (m + i), f)
+                              for i in range(8)])[0]
+        self._reduce = table
+        return table
+
+    def _build_exp_log(self) -> tuple:
+        """Antilog (twice over, so that log sums need no reduction) and log
+        lists to the base of the smallest primitive element."""
+        for g in range(1, self.order):
+            times_g = _byte_tables([gf2x.mod(g << i, self.modulus)
+                                    for i in range(self.m)])
+            exp = [1]
+            x = _apply(times_g, 1)
+            while x != 1:
+                exp.append(x)
+                x = _apply(times_g, x)
+            if len(exp) == self.order - 1:
+                break
+        log = [0] * self.order
+        for k, x in enumerate(exp):
+            log[x] = k
+        tables = (exp + exp, log)
+        self._exp_log = tables
+        return tables
 
     def sqr(self, a: int) -> int:
-        return gf2x.mulmod(a, a, self.modulus)
+        return _apply(self._sqr, a)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -69,16 +174,31 @@ class FieldContext:
 
     def frobenius(self, a: int, k: int) -> int:
         """a^(2^k), with k reduced modulo m."""
-        for _ in range(k % self.m):
-            a = self.sqr(a)
-        return a
+        k %= self.m
+        if not k:
+            return a
+        tables = self._frobenius.get(k)
+        if tables is None:
+            images = []
+            for i in range(self.m):
+                x = 1 << i
+                for _ in range(k):
+                    x = _apply(self._sqr, x)
+                images.append(x)
+            tables = self._frobenius[k] = _byte_tables(images)
+        return _apply(tables, a)
 
-    def _raw_trace(self, a: int) -> int:
-        t = a
-        for _ in range(self.m - 1):
-            a = self.sqr(a)
-            t ^= a
-        return t
+    def _trace_images(self, r: int) -> list:
+        """Tr_{m/r}(x^i) for i < m; requires r | m."""
+        images = []
+        for i in range(self.m):
+            x = 1 << i
+            t = x
+            for _ in range(self.m // r - 1):
+                x = self.frobenius(x, r)
+                t ^= x
+            images.append(t)
+        return images
 
     def absolute_trace(self, a: int) -> int:
         """Trace to GF(2), in {0, 1}."""
@@ -86,13 +206,12 @@ class FieldContext:
 
     def relative_trace(self, a: int, r: int) -> int:
         """Trace to the subfield F_{2^r}; requires r | m."""
-        if self.m % r:
-            raise ValueError(f"{r} does not divide {self.m}")
-        t = a
-        for _ in range(self.m // r - 1):
-            a = self.frobenius(a, r)
-            t ^= a
-        return t
+        tables = self._trace.get(r)
+        if tables is None:
+            if self.m % r:
+                raise ValueError(f"{r} does not divide {self.m}")
+            tables = self._trace[r] = _byte_tables(self._trace_images(r))
+        return _apply(tables, a)
 
     def is_in_subfield(self, a: int, r: int) -> bool:
         """True iff a lies in F_{2^r} inside F_{2^m}; requires r | m."""

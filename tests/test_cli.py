@@ -257,3 +257,61 @@ def test_config_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "--config", str(cfg),
                            "count-traces", "--r", "1", "--n", "6")
     assert code == 2 and "budget" in err
+
+
+def _config(tmp_path, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    return str(cfg)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--max-bits", "26", "count-traces", "--r", "1", "--n", "6"),
+    ("count-traces", "--r", "1", "--n", "6", "--max-bits", "26"),
+])
+def test_config_loses_to_explicit_flag_equal_to_default(capsys, tmp_path, argv):
+    cfg = _config(tmp_path, {"max_bits": 4})
+    code, out, err = run_cli(capsys, "--config", cfg, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["total"] == "64"
+
+
+def test_config_applies_subcommand_key(capsys, tmp_path):
+    cfg = _config(tmp_path, {"format": "csv"})
+    code, out, _ = run_cli(capsys, "--config", cfg,
+                           "count-traces", "--r", "1", "--n", "6")
+    assert code == 0
+    assert out.splitlines()[0] == "t1_bits,t2_bits,t3_bits,count"
+    # an explicit flag still wins over the config
+    code, out, _ = run_cli(capsys, "--config", cfg, "count-traces",
+                           "--r", "1", "--n", "6", "--format", "json")
+    assert code == 0 and json.loads(out)["total"] == "64"
+
+
+@pytest.mark.parametrize("payload", [
+    {"no_such_key": 1},
+    {"format": "xml"},
+    {"max_bits": "many"},
+    {"which": "four"},
+    [4],
+])
+def test_config_rejects_unknown_key_or_bad_value(capsys, tmp_path, payload):
+    cfg = _config(tmp_path, payload)
+    code, out, err = run_cli(capsys, "--config", cfg,
+                             "count-traces", "--r", "1", "--n", "6")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_config_key_of_another_command_is_accepted(capsys, tmp_path):
+    # one config file can serve every command: --timing belongs to verify
+    cfg = _config(tmp_path, {"timing": True, "format": "csv"})
+    code, out, _ = run_cli(capsys, "--config", cfg, "formula", "F000",
+                           "--r", "1", "--n", "6")
+    assert code == 0 and json.loads(out)["value"] == "10"
+
+
+def test_config_missing_file_is_a_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "--config", str(tmp_path / "none.json"),
+                           "count-traces", "--r", "1", "--n", "6")
+    assert code == 2 and len(err.splitlines()) == 1

@@ -11,6 +11,11 @@ def test_moebius():
     assert values == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
 
+def test_divisors_match_trial_division():
+    for n in range(-3, 2001):
+        assert cf.divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_gauss_count():
     assert cf.gauss_count(2, 1) == 2
     assert cf.gauss_count(2, 4) == 3

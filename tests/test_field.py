@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -88,6 +90,104 @@ def test_mul_matches_schoolbook():
     for a in range(1 << 7):
         for b in range(0, 1 << 7, 5):
             assert ctx.mul(a, b) == gf2x.mod(naive_poly_mul(a, b), ctx.modulus)
+
+
+def _squarings(a, f, count):
+    """a, a^2, a^4, ..., a^(2^count) by iterated gf2x.mulmod squaring."""
+    out = [a]
+    for _ in range(count):
+        a = gf2x.mulmod(a, a, f)
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, MAX_DEGREE + 1))
+def test_table_kernels_match_mulmod(m):
+    """Each kernel of a fresh context (its lazy tables built here) against
+    gf2x.mulmod: mul and sqr on all pairs for m <= 8, else on 2000 random
+    pairs; frobenius(a, k) for every k in 0..2m and relative_trace for
+    every r | m against iterated squaring, on every element for m <= 8,
+    else on the first 2000 // m random elements (the reference costs
+    2m squarings per element)."""
+    ctx = FieldContext(m)
+    f = ctx.modulus
+    if m <= 8:
+        pairs = [(a, b) for a in range(1 << m) for b in range(1 << m)]
+        singles = range(1 << m)
+    else:
+        rng = random.Random(m)
+        pairs = [(rng.randrange(1 << m), rng.randrange(1 << m))
+                 for _ in range(2000)]
+        singles = [a for a, _ in pairs[:2000 // m]]
+    for a, b in pairs:
+        assert ctx.mul(a, b) == gf2x.mulmod(a, b, f), (a, b)
+        assert ctx.sqr(a) == gf2x.mulmod(a, a, f), a
+    divisors = [r for r in range(1, m + 1) if m % r == 0]
+    for a in singles:
+        conj = _squarings(a, f, 2 * m)
+        assert [ctx.frobenius(a, k) for k in range(2 * m + 1)] == conj, a
+        for r in divisors:
+            expected = 0
+            for x in conj[0:m:r]:
+                expected ^= x
+            assert ctx.relative_trace(a, r) == expected, (a, r)
+        assert ctx.absolute_trace(a) == ctx.relative_trace(a, 1)
+
+
+def test_log_tables_trivial_group():
+    # F_2: the multiplicative group is {1}, its primitive element is 1
+    ctx = FieldContext(1)
+    assert [ctx.mul(a, b) for a in (0, 1) for b in (0, 1)] == [0, 0, 0, 1]
+    assert ctx.inv(1) == 1 and ctx.pow(1, 5) == 1 and ctx.pow(1, -2) == 1
+    assert ctx.pow(0, 3) == 0 and ctx.pow(0, 0) == 1
+    assert ctx.sqr(1) == 1 and ctx.frobenius(1, 7) == 1
+
+
+def test_kernels_do_not_call_mulmod(monkeypatch):
+    contexts = [FieldContext(m) for m in (1, 2, 8, 16, 17, 24, 64)]
+
+    def forbidden(*args):
+        raise AssertionError("gf2x.mulmod called")
+
+    monkeypatch.setattr(gf2x, "mulmod", forbidden)
+    for ctx in contexts:
+        a, b = ctx.order - 1, ctx.order // 2 | 1
+        ctx.mul(a, b)
+        ctx.sqr(a)
+        ctx.frobenius(a, ctx.m + 3)
+        ctx.relative_trace(a, 1)
+        ctx.inv(a)
+
+
+@pytest.mark.parametrize("m", [12, 24])
+def test_lazy_tables_under_concurrent_first_use(m):
+    # more threads than cores race to build the lazy tables of a fresh
+    # context; each must still get the reference results
+    ctx = FieldContext(m)
+    rng = random.Random(m)
+    pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order))
+             for _ in range(200)]
+    f = ctx.modulus
+    expected = [(gf2x.mulmod(a, b, f), gf2x.frobenius_power(a, 5, f))
+                for a, b in pairs]
+    results = {}
+
+    def work(worker):
+        results[worker] = [(ctx.mul(a, b), ctx.frobenius(a, 5))
+                           for a, b in pairs]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: expected for i in range(8)}
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 8, 12])
