@@ -31,6 +31,17 @@ def low_weight_masks(m: int, d: int):
             yield bits, mask
 
 
+MAX_SWEEP_BITS = 32
+
+
+def check_sweep_bits(m: int):
+    """Refuse a sweep of more than 2^MAX_SWEEP_BITS inputs; callers that
+    build tables of the field first check before doing so."""
+    if m > MAX_SWEEP_BITS:
+        raise ValueError(f"sweeps cover at most 2^{MAX_SWEEP_BITS} inputs; "
+                         f"m = {m} > {MAX_SWEEP_BITS}")
+
+
 def sweep(m: int, func, degree: int, spot_check: int = 16,
           dtype=np.uint32) -> np.ndarray:
     """Array A with A[x] = func(x) for every m-bit x.
@@ -39,8 +50,7 @@ def sweep(m: int, func, degree: int, spot_check: int = 16,
     GF(2)-degree <= degree; spot_check random inputs are validated against
     the direct evaluation to guard the degree contract.
     """
-    if m > 32:
-        raise ValueError(f"sweeps cover at most 2^32 inputs; m = {m} > 32")
+    check_sweep_bits(m)
     vals = {mask: func(mask) for _, mask in low_weight_masks(m, degree)}
     arr = np.zeros(1 << m, dtype=dtype)
     for bits, mask in low_weight_masks(m, degree):

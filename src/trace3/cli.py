@@ -4,7 +4,9 @@ table emission.
 
 JSON is the canonical machine format (integers serialized as decimal
 strings); CSV and Markdown are views.  Exit codes: 0 success / all checks
-pass, 1 verification mismatch, 2 usage or budget error.  Output is
+pass, 1 verification mismatch, 2 usage or budget error, 3 internal error
+(any other exception, MemoryError included, reported as one stderr
+line).  Output is
 byte-deterministic for fixed arguments; wall-clock timing is only added on
 request and goes to stderr.
 """
@@ -53,10 +55,15 @@ def cmd_count_traces(args):
     return 0
 
 
-def cmd_count_irreducibles(args):
-    r = args.q.bit_length() - 1
-    if 1 << r != args.q:
+def _log2(q):
+    """r with q = 2^r."""
+    if q < 1 or q & (q - 1):
         raise ValueError("q must be a power of two")
+    return q.bit_length() - 1
+
+
+def cmd_count_irreducibles(args):
+    r = _log2(args.q)
     value = traces.count_irreducibles_with_prefix(
         r, args.n, args.t1, args.t2, args.t3, budget=1 << args.max_bits)
     _emit({"q": args.q, "n": args.n,
@@ -76,10 +83,7 @@ def cmd_formula(args):
         value = cf.count_all_zero_traces(args.r, args.n)
         params = {"r": args.r, "n": args.n}
     elif kind == "I000":
-        r = args.q.bit_length() - 1
-        if 1 << r != args.q:
-            raise ValueError("q must be a power of two")
-        value = cf.irreducible_all_zero(r, args.n)
+        value = cf.irreducible_all_zero(_log2(args.q), args.n)
         params = {"q": args.q, "n": args.n}
     elif kind == "table1":
         # tables 1 and 2 hold r = 1 only: the lookup with --r rejects
@@ -433,6 +437,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a crash must not read as 1, a mismatch
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@
 
 and their quadratic twists C_{i,alpha}: y^2 + y = alpha * f_i(x), through
 four independent routes: exhaustive fiber counting, the periodic residue
-tables, the factored Frobenius characteristic polynomial with Newton power
-sums, and the root-of-unity spectral sums.  Projective counts throughout:
-one point at infinity per curve.
+tables, the factored Frobenius characteristic polynomial (the power sum
+p_n of each factor's roots from X^n mod the factor, by binary powering,
+and its first Newton power sums), and the root-of-unity spectral sums.
+Projective counts throughout: one point at infinity per curve.
 
 The residue tables are `ResidueTable`s (see `residues`) holding the
 deviation from 2^(rn) + 1 as single terms sign * poly(q) *
@@ -81,6 +82,7 @@ def count_points_oracle(spec: CurveSpec, n: int,
     m = spec.r * n
     if m > cap:
         raise BudgetError(f"rn = {m} exceeds enumeration cap {cap}")
+    anf.check_sweep_bits(m)  # before the embedding table, 2^r entries
     ctx = build_context(m)
     rhs = curve_rhs(spec, ctx)
     if spec.alpha is None:
@@ -500,12 +502,30 @@ def factor_power_sums(coeffs, n: int) -> list:
     return p
 
 
+def factor_power_sum(coeffs, n: int) -> int:
+    """p_n of the roots of the monic integer polynomial P of degree d
+    (coefficients descending), by Fiduccia's method ("An efficient formula
+    for linear recurrences", SIAM J. Comput. 1985): if X^n = sum_i a_i X^i
+    modulo P, then p_n = sum_i a_i p_i over the first d Newton power sums.
+    X^n mod P comes from binary powering, so the cost is O(d^2 log n)."""
+    d = len(coeffs) - 1
+    first = factor_power_sums(coeffs, d - 1)
+    if n < d:
+        return first[n]
+    rem, power = [1], [1, 0]  # X^0, X
+    while n:
+        if n & 1:
+            rem = _poly_mulmod_desc(rem, power, coeffs)
+        n >>= 1
+        if n:
+            power = _poly_mulmod_desc(power, power, coeffs)
+    return sum(a * p for a, p in zip(reversed(rem), first))
+
+
 def power_sum_sequence(fd: FrobeniusData, n: int) -> int:
     """S_n = sum of n-th powers of all Frobenius eigenvalues (S_0 = 2g)."""
-    total = 0
-    for coeffs, mult in fd.factors:
-        total += mult * factor_power_sums(coeffs, n)[n]
-    return total
+    return sum(mult * factor_power_sum(coeffs, n)
+               for coeffs, mult in fd.factors)
 
 
 def charpoly_count(family: int, r: int, n: int,

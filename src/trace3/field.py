@@ -6,6 +6,8 @@ all arithmetic goes through a FieldContext, and values from different
 contexts must not be mixed.  Addition is xor, zero is 0, one is 1.
 """
 
+import numpy as np
+
 from . import gf2x
 
 MAX_DEGREE = 64
@@ -58,6 +60,9 @@ class FieldContext:
       8 bits at a time with a table of the multiples of the modulus by
       t * x^m, t < 256, built on the first `mul`.
 
+    `lane_tables` gives numpy copies of the log/antilog lists and of the
+    squaring map, for products of whole arrays at once (m <= LOG_MAX_DEGREE).
+
     A lazily built table is stored only once complete, so concurrent
     callers can at worst build the same table twice.
     """
@@ -74,6 +79,7 @@ class FieldContext:
         self._trace = {}                  # r -> tables of Tr_{m/r}
         self._exp_log = None              # (antilog, log), m <= LOG_MAX_DEGREE
         self._reduce = None               # reduction table, m > LOG_MAX_DEGREE
+        self._lanes = None                # numpy (exp, log, sqr) arrays
         # high-half bytes of a product of degree <= 2m - 2, top one first
         self._reduce_shifts = tuple(range(8 * ((m - 2) // 8), -1, -8))
         # bit i set iff the absolute trace of x^i is 1
@@ -151,6 +157,30 @@ class FieldContext:
             log[x] = k
         tables = (exp + exp, log)
         self._exp_log = tables
+        return tables
+
+    def lane_tables(self) -> tuple:
+        """numpy arrays (exp, log, sqr) with exp[log[a] + log[b]] == a * b
+        for all a, b, zero included, and sqr[a] == a * a; m <= LOG_MAX_DEGREE.
+
+        exp is the doubled antilog list followed by zeros, and log[0] points
+        past the antilog list, so a sum with log[0] lands in the zeros.
+        Built on first use."""
+        if self._lanes is not None:
+            return self._lanes
+        if self.m > LOG_MAX_DEGREE:
+            raise ValueError(f"array tables need m <= {LOG_MAX_DEGREE}")
+        exp, log = self._exp_log or self._build_exp_log()
+        zero = len(exp)  # 2 * (order - 1)
+        dtype = np.min_scalar_type(self.order - 1)
+        exp_np = np.zeros(2 * zero + 1, dtype=dtype)
+        exp_np[:zero] = exp
+        log_np = np.array(log, dtype=np.int32)
+        log_np[0] = zero
+        sqr_np = np.array([self.sqr(a) for a in range(self.order)],
+                          dtype=dtype)
+        tables = (exp_np, log_np, sqr_np)
+        self._lanes = tables
         return tables
 
     def sqr(self, a: int) -> int:

@@ -1,16 +1,26 @@
 """First three traces of field elements relative to a subfield, exhaustive
 trace censuses, and brute-force counts of irreducible polynomials with
 prescribed leading coefficients.
+
+The counts test every candidate polynomial: Rabin's deterministic test runs
+on blocks of candidates at once, as numpy lanes, with the gcd of each lane
+decided by a fixed number of Bernstein-Yang divsteps.  Over GF(2) with
+degree <= 32 a polynomial is one uint64 lane; otherwise, up to
+F_{2^LOG_MAX_DEGREE}, its coefficients are a row of an array multiplied
+through the field's log/antilog tables.  The scalar `is_irreducible` is
+the reference, and the route for larger fields.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from . import anf, gf2x
-from .field import DEFAULT_ENUM_CAP, BudgetError, FieldContext, build_context
+from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE, BudgetError,
+                    FieldContext, build_context)
 
 
 def trace_triple(ctx: FieldContext, r: int, a: int):
@@ -100,6 +110,7 @@ def _trace_code_sweep(r: int, n: int, depth: int, cap: int):
     m = r * n
     if m > cap:
         raise BudgetError(f"rn = {m} exceeds enumeration cap {cap}")
+    anf.check_sweep_bits(m)  # before the subfield table, 2^r entries
     ctx = build_context(m)
     sub = ctx.subfield_elements(r)
     pivots = [sub[1 << j].bit_length() - 1 for j in range(r)]
@@ -273,25 +284,215 @@ def is_irreducible(p: PrefixPoly) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# batched irreducibility: Rabin's test on numpy lanes
+
+PREFIX_BLOCK = 1 << 16  # most candidates tested at once
+
+
+@cache
+def _bit_tables():
+    """uint64 tables over the bytes: the bits spread to the even positions
+    (squaring over GF(2)) and the bits in reverse order."""
+    byte = np.arange(256, dtype=np.uint64)
+    spread = np.zeros(256, dtype=np.uint64)
+    rev = np.zeros(256, dtype=np.uint64)
+    for i in range(8):
+        bit = (byte >> i) & 1
+        spread |= bit << (2 * i)
+        rev |= bit << (7 - i)
+    return spread, rev
+
+
+def _reverse_packed(v, width: int):
+    """Bits 0..width-1 of each lane in reverse order."""
+    rev = _bit_tables()[1]
+    nbytes = (width + 7) // 8
+    out = np.zeros_like(v)
+    for j in range(nbytes):
+        out |= rev[(v >> (8 * j)) & 0xFF] << (8 * (nbytes - 1 - j))
+    return out >> (8 * nbytes - width)
+
+
+def _coprime_packed(n: int, f, g):
+    """Lanes where gcd(f, g) = 1, for f monic of degree n and deg g < n over
+    GF(2), bit i = coefficient of x^i, n <= 32.
+
+    Runs 2n - 1 divsteps of Bernstein-Yang ("Fast constant-time gcd
+    computation and modular inversion", 2019, Theorem 6.2) on the reversed
+    polynomials x^n f(1/x) and x^(n-1) g(1/x), starting from delta = 1; the
+    gcd then has degree delta / 2, so it is 1 iff delta ends at 0.  A step
+    sets g = (g(0) f - f(0) g) / x, which a swap leaves unchanged, and
+    delta += 1, after swapping f and g (and negating delta) where delta > 0
+    and g(0) = 1; f(0) stays 1 throughout.
+    """
+    # signed lanes (the polynomials fit in 33 bits), so that masks of all
+    # ones are -1 and the sign of -delta gives delta > 0
+    f = _reverse_packed(f, n + 1).view(np.int64)
+    g = _reverse_packed(g, n).view(np.int64)
+    delta = np.ones(f.shape, dtype=np.int64)
+    for _ in range(2 * n - 1):
+        odd = -(g & 1)  # -1 where g(0) = 1
+        swap = odd & ((-delta) >> 63)  # ... and delta > 0
+        h = g ^ (f & odd)
+        f ^= h & swap  # h = f + g where swapped
+        delta = (delta ^ swap) - swap + 1
+        g = h >> 1
+    return delta == 0
+
+
+def _rabin_packed(n: int, f):
+    """Irreducibility of the monic degree-n polynomials over GF(2) packed in
+    the uint64 lanes f, 2 <= n <= 32 (so a square, of degree 2n - 2, fits)."""
+    spread = _bit_tables()[0]
+    fk = [f << k for k in range(n - 1)]
+    stops = {n // ell for ell in gf2x.prime_factors(n)}
+    t = np.full_like(f, 2)  # x
+    deg = 1  # bounds the degree of t: x^(2^j) needs no reduction below n
+    snaps = []
+    for j in range(n):
+        s = spread[t & 0xFF]
+        for b in range(1, deg // 8 + 1):
+            s |= spread[(t >> (8 * b)) & 0xFF] << (16 * b)
+        for k in range(2 * deg - n, -1, -1):
+            # bits above n + k are already clear
+            s ^= fk[k] * (s >> (n + k))
+        t = s
+        deg = min(2 * deg, n - 1)
+        if j + 1 in stops:
+            snaps.append(t)
+    ok = t == 2
+    if snaps and ok.any():
+        # x^(2^(n/l)) - x for every prime l | n, stacked, against f repeated
+        g = np.concatenate([v[ok] ^ 2 for v in snaps])
+        coprime = _coprime_packed(n, np.tile(f[ok], len(snaps)), g)
+        ok[ok] = coprime.reshape(len(snaps), -1).all(axis=0)
+    return ok
+
+
+def _coprime_lanes(ctx: FieldContext, f, g):
+    """Lanes where gcd = 1 over F_{2^r}, r = ctx.m, for polynomials given
+    reversed as (lanes, n + 1) coefficient rows: f = x^n F(1/x) for F of
+    degree n, and g = x^(n-1) G(1/x) for deg G < n, with g[:, n] = 0.
+
+    The divsteps of `_coprime_packed`; f(0) is never 0, since a swap brings
+    in a g with g(0) != 0.
+    """
+    exp, log, _ = ctx.lane_tables()
+    n = f.shape[1] - 1
+    delta = np.ones(f.shape[0], dtype=np.int64)
+    pad = np.zeros((f.shape[0], 1), dtype=f.dtype)
+    for _ in range(2 * n - 1):
+        swap = (delta > 0) & (g[:, 0] != 0)
+        # column 0 of g(0) f - f(0) g is 0: drop it to divide by x
+        h = np.concatenate([exp[log[g[:, :1]] + log[f[:, 1:]]]
+                            ^ exp[log[f[:, :1]] + log[g[:, 1:]]], pad], axis=1)
+        f = np.where(swap[:, None], g, f)
+        delta = np.where(swap, -delta, delta) + 1
+        g = h
+    return delta == 0
+
+
+def _rabin_lanes(ctx: FieldContext, low):
+    """Irreducibility of the monic polynomials x^n + sum_i low[:, i] x^i
+    over F_{2^r}, r = ctx.m <= LOG_MAX_DEGREE, one per row; n >= 2.
+
+    Coefficients are held in (lanes, n) arrays; products are gathers through
+    the log/antilog arrays, squares a gather through the squaring array.
+    """
+    exp, log, sqr = ctx.lane_tables()
+    r = ctx.m
+    lanes, n = low.shape
+    log_f = log[low]
+    stops = {n // ell for ell in gf2x.prime_factors(n)}
+    x = np.zeros((lanes, n), dtype=sqr.dtype)
+    x[:, 1] = 1
+    t = x
+    deg = 1  # bounds the degree of t, as in `_rabin_packed`
+    s = np.zeros((lanes, 2 * n - 1), dtype=sqr.dtype)
+    snaps = []
+    for j in range(r * n):
+        s[:, ::2] = sqr[t]
+        s[:, 1::2] = 0
+        for k in range(2 * deg, n - 1, -1):
+            # subtract s_k x^(k-n) f; columns from k up are not read again
+            s[:, k - n:k] ^= exp[log[s[:, k:k + 1]] + log_f]
+        t = s[:, :n].copy()
+        deg = min(2 * deg, n - 1)
+        if (j + 1) % r == 0 and (j + 1) // r in stops:
+            snaps.append(t)
+    ok = (t == x).all(axis=1)
+    if snaps and ok.any():
+        kept = int(np.count_nonzero(ok))
+        f = np.ones((kept, n + 1), dtype=sqr.dtype)
+        f[:, 1:] = low[ok, ::-1]
+        g = np.zeros((kept * len(snaps), n + 1), dtype=sqr.dtype)
+        g[:, :n] = np.concatenate([(v[ok] ^ x[ok])[:, ::-1] for v in snaps])
+        coprime = _coprime_lanes(ctx, np.tile(f, (len(snaps), 1)), g)
+        ok[ok] = coprime.reshape(len(snaps), -1).all(axis=0)
+    return ok
+
+
+def irreducible_mask(r: int, low) -> np.ndarray:
+    """Rabin's test on a batch: entry i says whether the monic polynomial
+    x^n + sum_j low[i, j] x^j over F_{2^r} is irreducible, for an integer
+    array low of shape (lanes, n) with entries below 2^r, n >= 2 and
+    r <= LOG_MAX_DEGREE.
+
+    One chain of r * n squarings modulo each lane's own polynomial keeps
+    x^(q^(n/l)) for every prime l | n; the lanes with x^(q^n) = x go on to a
+    divstep gcd of each kept power minus x with the polynomial.  Over GF(2)
+    with n <= 32 a polynomial is one uint64 lane (`_rabin_packed`); otherwise
+    its coefficients are a row of a (lanes, n) array (`_rabin_lanes`).
+    """
+    lanes, n = low.shape
+    if r == 1 and n <= 32:
+        f = np.full(lanes, 1 << n, dtype=np.uint64)
+        for i in range(n):
+            f |= low[:, i].astype(np.uint64) << i
+        return _rabin_packed(n, f)
+    return _rabin_lanes(build_context(r), low)
+
+
+def _check_prefix(r: int, n: int, prefix, budget: int) -> int:
+    """q = 2^r after checking a prefix count's inputs, before any work."""
+    if not 1 <= r <= MAX_DEGREE:
+        raise ValueError(f"need 1 <= r <= {MAX_DEGREE}, got r = {r}")
+    if n < 3:
+        raise ValueError("need degree >= 3 to prescribe three coefficients")
+    q = 1 << r
+    if any(not 0 <= t < q for t in prefix):
+        raise ValueError(f"prescribed coefficients must lie in 0..{q - 1}")
+    if q ** (n - 3) > budget:
+        raise BudgetError(f"{q}^{n - 3} candidates exceed budget {budget}")
+    return q
+
+
 def count_irreducibles_with_prefix(r: int, n: int, t1: int, t2: int, t3: int,
                                    budget: int = 1 << 22) -> int:
     """Number of monic irreducible degree-n polynomials over F_{2^r} whose
     coefficients of x^(n-1), x^(n-2), x^(n-3) are t1, t2, t3.
 
-    Enumerates all q^(n-3) polynomials with the remaining coefficients free
-    and tests each one.
+    Enumerates all q^(n-3) polynomials with the remaining coefficients free,
+    PREFIX_BLOCK at a time: candidate c has the base-q digits of c as its
+    low coefficients, and `irreducible_mask` tests a block at once.  Above
+    LOG_MAX_DEGREE each candidate goes through `is_irreducible`.
     """
-    if n < 3:
-        raise ValueError("need degree >= 3 to prescribe three coefficients")
-    q = 1 << r
+    q = _check_prefix(r, n, (t1, t2, t3), budget)
     free = n - 3
-    if q ** free > budget:
-        raise BudgetError(f"{q}^{free} candidates exceed budget {budget}")
+    top = (t3, t2, t1)
+    if r > LOG_MAX_DEGREE:
+        return sum(is_irreducible(PrefixPoly(r, tail + top + (1,)))
+                   for tail in product(range(q), repeat=free))
     total = 0
-    for tail in product(range(q), repeat=free):
-        coeffs = tuple(tail) + (t3, t2, t1, 1)
-        if is_irreducible(PrefixPoly(r, coeffs)):
-            total += 1
+    for start in range(0, q ** free, PREFIX_BLOCK):
+        c = np.arange(start, min(start + PREFIX_BLOCK, q ** free),
+                      dtype=np.int64)
+        low = np.empty((c.size, n), dtype=np.min_scalar_type(q - 1))
+        for i in range(free):
+            low[:, i] = (c >> (r * i)) & (q - 1)
+        low[:, free:] = top
+        total += int(np.count_nonzero(irreducible_mask(r, low)))
     return total
 
 

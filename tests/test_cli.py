@@ -53,11 +53,9 @@ def test_count_traces_budget_error(capsys):
     assert code == 2 and "budget" in err
 
 
-def test_count_traces_refuses_sweep_beyond_32_bits():
-    # within --max-bits but beyond what a sweep can index: a usage error
-    # before anything of size 2^33 is allocated.  The child's address
-    # space is capped at 2 GiB, so an attempted allocation would end in
-    # a MemoryError traceback instead.
+def run_capped(*argv):
+    """The CLI in a child whose address space is capped at 2 GiB, so that
+    an allocation beyond that fails there instead of loading the machine."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -65,15 +63,57 @@ def test_count_traces_refuses_sweep_beyond_32_bits():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "trace3.cli", "count-traces", "--r", "1",
-         "--n", "33", "--max-bits", "40"],
+    return subprocess.run(
+        [sys.executable, "-m", "trace3.cli", *argv],
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=cap_address_space)
+
+
+def test_count_traces_refuses_sweep_beyond_32_bits():
+    # within --max-bits but beyond what a sweep can index: a usage error
+    # before anything of size 2^33 is allocated; an attempted allocation
+    # would end in a MemoryError in the capped child instead
+    proc = run_capped("count-traces", "--r", "1", "--n", "33",
+                      "--max-bits", "40")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count-traces", "--r", "33", "--n", "1"),
+    ("curve", "count", "--family", "c1", "--r", "33", "--n", "1",
+     "--alpha", "1", "--method", "oracle"),
+])
+def test_sweep_size_checked_before_subfield_tables(argv):
+    # r = rn = 33: the subfield (or embedding) table alone has 2^33 entries
+    proc = run_capped(*argv, "--max-bits", "40")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: sweeps cover at most 2^32 inputs; "
+                           "m = 33 > 32\n")
+
+
+def test_uncaught_exception_exits_3():
+    # a 2^32-byte sweep is within --max-bits 40 but not within the cap
+    proc = run_capped("count-traces", "--r", "1", "--n", "32",
+                      "--max-bits", "40")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("internal error: MemoryError")
+
+
+def test_internal_assertion_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("swept values left the subfield")
+
+    monkeypatch.setattr(trace3.traces, "trace_census", broken)
+    code, out, err = run_cli(capsys, "count-traces", "--r", "1", "--n", "4")
+    assert code == 3 and out == ""
+    assert err == ("internal error: AssertionError: "
+                   "swept values left the subfield\n")
 
 
 def test_count_irreducibles(capsys):
@@ -81,6 +121,26 @@ def test_count_irreducibles(capsys):
     assert code == 0 and json.loads(out)["count"] == "3"
     code, _, err = run_cli(capsys, "count-irreducibles", "--q", "3", "--n", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--q", "2", "--n", "5", "--t1", "2"),
+     "error: prescribed coefficients must lie in 0..1"),
+    (("--q", "4", "--n", "5", "--t3", "-1"),
+     "error: prescribed coefficients must lie in 0..3"),
+    (("--q", "1", "--n", "5"), "error: need 1 <= r <= 64, got r = 0"),
+    (("--q", "0", "--n", "5"), "error: q must be a power of two"),
+    (("--q", "2", "--n", "2"),
+     "error: need degree >= 3 to prescribe three coefficients"),
+    (("--q", "2", "--n", "40"),
+     "budget error: 2^37 candidates exceed budget 67108864"),
+    (("--q", "4", "--n", "17", "--max-bits", "27"),
+     "budget error: 4^14 candidates exceed budget 134217728"),
+])
+def test_count_irreducibles_rejects_bad_input(capsys, argv, message):
+    code, out, err = run_cli(capsys, "count-irreducibles", *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
 
 
 def test_curve_count_all_methods(capsys):

@@ -5,7 +5,8 @@ import pytest
 from trace3.closedforms import count_all_zero_traces, count_two_traces
 from trace3.curves import (CurveSpec, alpha_class, charpoly_count,
                            closed_count_combined, closed_count_twist,
-                           count_points_oracle, frobenius_charpoly, genus,
+                           count_points_oracle, factor_power_sum,
+                           factor_power_sums, frobenius_charpoly, genus,
                            hasse_weil_ok, kani_rosen_check,
                            power_sum_sequence, roots_symmetric_under_q,
                            spectral_count, supersingularity_certificate,
@@ -138,6 +139,17 @@ def test_genus_values():
         assert genus(CurveSpec(1, r, 1)) == q // 2
         assert genus(CurveSpec(2, r, 1)) == q
         assert genus(CurveSpec(3, r, 1)) == q
+
+
+def test_power_sum_by_powering_matches_newton():
+    """Fiduccia's p_n equals the Newton recurrence for every factor of every
+    family at r <= 12 and every n <= 500."""
+    factors = {tuple(coeffs) for family in (1, 2, 3) for r in range(1, 13)
+               for coeffs, _ in frobenius_charpoly(family, r).factors}
+    assert len(factors) > 50
+    for coeffs in sorted(factors):
+        newton = factor_power_sums(coeffs, 500)
+        assert [factor_power_sum(coeffs, n) for n in range(501)] == newton
 
 
 def test_power_sums():

@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from trace3 import gf2x
@@ -132,6 +133,29 @@ def test_table_kernels_match_mulmod(m):
                 expected ^= x
             assert ctx.relative_trace(a, r) == expected, (a, r)
         assert ctx.absolute_trace(a) == ctx.relative_trace(a, 1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 16])
+def test_lane_tables_match_mul(m):
+    """exp[log a + log b] = a * b for all a, b (zero included) and
+    sqr[a] = a * a, on a fresh context; all pairs for m <= 8."""
+    ctx = FieldContext(m)
+    exp, log, sqr = ctx.lane_tables()
+    if m <= 8:
+        a, b = np.divmod(np.arange(1 << (2 * m)), 1 << m)
+    else:
+        rng = np.random.default_rng(m)
+        a, b = rng.integers(0, 1 << m, size=(2, 4000))
+        a[:50] = 0
+        b[50:100] = 0
+    got = exp[log[a] + log[b]]
+    assert got.tolist() == [ctx.mul(x, y)
+                            for x, y in zip(a.tolist(), b.tolist())]
+    assert sqr.tolist() == [gf2x.mulmod(x, x, ctx.modulus)
+                            for x in range(ctx.order)]
+    assert ctx.lane_tables() is ctx.lane_tables()
+    with pytest.raises(ValueError):
+        FieldContext(17).lane_tables()
 
 
 def test_log_tables_trivial_group():

@@ -1,16 +1,18 @@
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
+from trace3 import gf2x, traces
 from trace3.anf import sweep
-from trace3.closedforms import gauss_count
+from trace3.closedforms import gauss_count, irreducible_all_zero
 from trace3.field import BudgetError, build_context
 from trace3.traces import (PrefixPoly, check_trace_addition_identities,
-                           count_irreducibles_with_prefix, is_irreducible,
-                           joint_zero_identity_check, trace_census,
-                           trace_class_count, trace_triple)
+                           count_irreducibles_with_prefix, irreducible_mask,
+                           is_irreducible, joint_zero_identity_check,
+                           trace_census, trace_class_count, trace_triple)
 
 
 def naive_trace_triple(ctx, r, a):
@@ -211,29 +213,32 @@ def test_trace_addition_identities():
             big, 2, rng.randrange(big.order), rng.randrange(big.order))
 
 
+def all_monic(r, n):
+    """Every monic degree-n polynomial over F_{2^r}, as coefficient tuples
+    low to high, in the order of `product`."""
+    return [tail + (1,) for tail in product(range(1 << r), repeat=n)]
+
+
+def poly_product(ctx, a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] ^= ctx.mul(x, y)
+    return tuple(out)
+
+
 def sieve_irreducibles(r, n_max):
     """All monic irreducibles over F_{2^r} up to degree n_max, by sieving
     out products of lower-degree monics.  Polynomials are coefficient
     tuples, low to high."""
-    from itertools import product as iproduct
     ctx = build_context(r)
-    q = 1 << r
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] ^= ctx.mul(x, y)
-        return tuple(out)
-
-    monics = {d: [tail + (1,) for tail in iproduct(range(q), repeat=d)]
-              for d in range(n_max + 1)}
+    monics = {d: all_monic(r, d) for d in range(n_max + 1)}
     composite = set()
     for d1 in range(1, n_max):
         for d2 in range(d1, n_max + 1 - d1):
             for a in monics[d1]:
                 for b in monics[d2]:
-                    prod = poly_mul(a, b)
+                    prod = poly_product(ctx, a, b)
                     if len(prod) - 1 <= n_max:
                         composite.add(prod)
     return {d: [p for p in monics[d] if p not in composite]
@@ -275,6 +280,119 @@ def test_prefix_counts_sum_to_gauss(r, n):
     total = sum(count_irreducibles_with_prefix(r, n, t1, t2, t3)
                 for t1 in range(q) for t2 in range(q) for t3 in range(q))
     assert total == gauss_count(q, n)
+
+
+@pytest.mark.parametrize("r,n_max", [(1, 12), (2, 6), (3, 4)])
+def test_irreducible_mask_vs_sieve(r, n_max):
+    table = sieve_irreducibles(r, n_max)
+    for n in range(2, n_max + 1):
+        polys = all_monic(r, n)
+        mask = irreducible_mask(r, np.array([p[:-1] for p in polys]))
+        good = set(table[n])
+        assert mask.tolist() == [p in good for p in polys]
+        assert mask.tolist() == [is_irreducible(PrefixPoly(r, p))
+                                 for p in polys]
+
+
+def test_irreducible_mask_gf2_beyond_one_word():
+    # n > 32 over GF(2) runs on coefficient arrays: check against gf2x
+    rng = random.Random(71)
+    for n in (33, 40):
+        polys = [(1 << n) | rng.getrandbits(n) for _ in range(300)]
+        polys += [(1 << n) | 0b1001, (1 << n) | 1]
+        low = np.array([[(p >> i) & 1 for i in range(n)] for p in polys])
+        mask = irreducible_mask(1, low)
+        expected = [gf2x.is_irreducible(p) for p in polys]
+        assert mask.tolist() == expected and any(expected)
+
+
+def scalar_prefix_counts(r, n):
+    """(t1, t2, t3) -> count, by `is_irreducible` on each candidate."""
+    counts = Counter()
+    for p in all_monic(r, n):
+        if is_irreducible(PrefixPoly(r, p)):
+            counts[p[-2], p[-3], p[-4]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("r,n_max", [(1, 12), (2, 6), (3, 5)])
+def test_batched_prefix_counts_match_scalar(r, n_max):
+    q = 1 << r
+    for n in range(3, n_max + 1):
+        expected = scalar_prefix_counts(r, n)
+        for t in product(range(q), repeat=3):
+            assert count_irreducibles_with_prefix(r, n, *t) == expected[t]
+
+
+def test_prefix_count_across_block_boundaries(monkeypatch):
+    expected = {(r, n, t): count_irreducibles_with_prefix(r, n, *t)
+                for r, n in ((1, 12), (2, 6), (3, 5))
+                for t in ((0, 0, 0), (1, 0, 1))}
+    # 512, 64 and 64 candidates: full blocks and a short last one
+    monkeypatch.setattr(traces, "PREFIX_BLOCK", 100)
+    for r, n, t in expected:
+        assert count_irreducibles_with_prefix(r, n, *t) == expected[r, n, t]
+    monkeypatch.setattr(traces, "PREFIX_BLOCK", 7)
+    for r, n, t in expected:
+        assert count_irreducibles_with_prefix(r, n, *t) == expected[r, n, t]
+
+
+def test_divstep_coprimality_matches_gcd():
+    rng = random.Random(61)
+    for n in (2, 3, 7, 16, 31, 32):
+        fs, gs = [], []
+        for _ in range(200):
+            fs.append((1 << n) | rng.getrandbits(n))
+            gs.append(rng.getrandbits(n))
+        # g = 0, as t - x is for t = x: gcd(f, 0) = f
+        fs.append((1 << n) | rng.getrandbits(n))
+        gs.append(0)
+        if n >= 3:
+            # a shared factor x^2 + x + 1, and a cofactor of g that is a
+            # unit, so that g has full degree n - 1
+            b = (1 << (n - 2)) | rng.getrandbits(n - 2)
+            fs.append(gf2x.mul(0b111, b))
+            gs.append(gf2x.mul(0b111, (1 << (n - 3)) | 1))
+        got = traces._coprime_packed(n, np.array(fs, dtype=np.uint64),
+                                     np.array(gs, dtype=np.uint64))
+        assert got.tolist() == [gf2x.gcd(f, g) == 1 for f, g in zip(fs, gs)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_divstep_coprimality_over_extension_field(r):
+    ctx = build_context(r)
+    q = 1 << r
+    rng = random.Random(67 + r)
+    for n in (2, 3, 5, 8):
+        pairs = [(tuple(rng.randrange(q) for _ in range(n)) + (1,),
+                  tuple(rng.randrange(q) for _ in range(n)))
+                 for _ in range(150)]
+        pairs.append((pairs[0][0], (0,) * n))
+        # f = (x + c) h and g = (x + c) u share the root c
+        c = rng.randrange(q)
+        h = (rng.randrange(q),) * (n - 1) + (1,)
+        u = (rng.randrange(1, q),) * max(n - 1, 1)
+        pairs.append((poly_product(ctx, (c, 1), h),
+                      poly_product(ctx, (c, 1), u)[:n]))
+        f = np.array([fp[::-1] for fp, _ in pairs])
+        g = np.zeros((len(pairs), n + 1), dtype=np.int64)
+        g[:, :n] = [gp[::-1] for _, gp in pairs]
+        got = traces._coprime_lanes(ctx, f, g)
+        expected = [traces._poly_gcd_is_one(ctx, gp, fp) for fp, gp in pairs]
+        assert got.tolist() == expected
+        assert not all(expected) and any(expected)
+
+
+def test_prefix_count_n20_matches_closed_form():
+    assert count_irreducibles_with_prefix(1, 20, 0, 0, 0) == \
+        irreducible_all_zero(1, 20)
+
+
+def test_prefix_count_r_above_log_tables():
+    # F_{2^17} takes the scalar path: x^3 + x + 1 stays irreducible over an
+    # extension of degree prime to 3, x^3 + 1 = (x + 1)(x^2 + x + 1)
+    assert count_irreducibles_with_prefix(17, 3, 0, 1, 1) == 1
+    assert count_irreducibles_with_prefix(17, 3, 0, 0, 1) == 0
 
 
 def test_joint_zero_identity():
