@@ -12,7 +12,10 @@ full-field censuses and curve sweeps cheap.
 Trace maps relative to any subfield have degree 1/2/3 for the first, second
 and third trace, and the Artin-Schreier fiber predicates have degree 2, so
 everything swept in this package fits.  Linear images keep the degree, so the
-census sweeps the packed subfield indices of all three traces as one map.
+census sweeps the packed subfield indices of all three traces as one map,
+and the combined-curve oracle the subfield index of a relative trace.  Every
+exhaustive count checks its size with `check_sweep` and sweeps in the
+narrowest unsigned type that holds every ANF coefficient (so every value).
 """
 
 import itertools
@@ -20,48 +23,46 @@ import random
 
 import numpy as np
 
+from .field import BudgetError
+
 
 def low_weight_masks(m: int, d: int):
     """All bit masks of weight <= d on m bits, weight-major order."""
     for w in range(d + 1):
         for bits in itertools.combinations(range(m), w):
-            mask = 0
-            for i in bits:
-                mask |= 1 << i
-            yield bits, mask
+            yield sum(1 << i for i in bits)
 
 
 MAX_SWEEP_BITS = 32
 
 
-def check_sweep_bits(m: int):
-    """Refuse a sweep of more than 2^MAX_SWEEP_BITS inputs; callers that
-    build tables of the field first check before doing so."""
+def check_sweep(m: int, cap: int = None):
+    """Refuse a sweep of 2^m inputs: BudgetError beyond the enumeration cap
+    (none for None), then ValueError beyond 2^MAX_SWEEP_BITS inputs.
+    Callers that build tables of the field check before doing so."""
+    if cap is not None and m > cap:
+        raise BudgetError(f"rn = {m} exceeds enumeration cap {cap}")
     if m > MAX_SWEEP_BITS:
         raise ValueError(f"sweeps cover at most 2^{MAX_SWEEP_BITS} inputs; "
                          f"m = {m} > {MAX_SWEEP_BITS}")
 
 
-def sweep(m: int, func, degree: int, spot_check: int = 16,
-          dtype=np.uint32) -> np.ndarray:
-    """Array A with A[x] = func(x) for every m-bit x.
+def sweep(m: int, func, degree: int, spot_check: int = 16) -> np.ndarray:
+    """Array A with A[x] = func(x) for every m-bit x, of the narrowest
+    unsigned dtype that holds every ANF coefficient.
 
-    func maps an int to an unsigned int that fits `dtype` and must have
+    func maps an int to an unsigned int below 2^64 and must have
     GF(2)-degree <= degree; spot_check random inputs are validated against
     the direct evaluation to guard the degree contract.
     """
-    check_sweep_bits(m)
-    vals = {mask: func(mask) for _, mask in low_weight_masks(m, degree)}
-    arr = np.zeros(1 << m, dtype=dtype)
-    for bits, mask in low_weight_masks(m, degree):
-        c = 0
-        for k in range(len(bits) + 1):
-            for sub in itertools.combinations(bits, k):
-                s = 0
-                for i in sub:
-                    s |= 1 << i
-                c ^= vals[s]
-        arr[mask] = c
+    check_sweep(m)
+    coeffs = {mask: func(mask) for mask in low_weight_masks(m, degree)}
+    for i in range(m):  # Moebius transform: values to ANF coefficients
+        for mask in coeffs:
+            if mask >> i & 1:
+                coeffs[mask] ^= coeffs[mask ^ 1 << i]
+    arr = np.zeros(1 << m, dtype=np.min_scalar_type(max(coeffs.values())))
+    arr[list(coeffs)] = list(coeffs.values())
     for i in range(m):
         # xor half-blocks as words of up to 8 bytes: a numpy row per narrow
         # block would cost more than the xor itself

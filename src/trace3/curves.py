@@ -25,7 +25,7 @@ import numpy as np
 
 from . import anf
 from .cyclotomic import Cyc, sqrt2_power
-from .field import DEFAULT_ENUM_CAP, BudgetError, FieldContext, build_context
+from .field import DEFAULT_ENUM_CAP, FieldContext, build_context
 from .quadforms import cubic_root_count
 from .residues import CURVE, PARITY_COLUMNS, ResidueTable, check_rn
 
@@ -78,23 +78,25 @@ def count_points_oracle(spec: CurveSpec, n: int,
     """Projective point count over F_{2^(rn)} by sweeping the trace of the
     right-hand side: a fiber of y^q + y (resp. y^2 + y) holds q (resp. 2)
     affine points exactly when the relative (resp. absolute) trace vanishes.
+
+    The combined curve sweeps the subfield index of the relative trace
+    (`FieldContext.subfield_code`, 0 for trace 0), a twist its absolute
+    trace, by a map kept apart from the Arf route's `quadforms.twist_form`.
     """
     m = spec.r * n
-    if m > cap:
-        raise BudgetError(f"rn = {m} exceeds enumeration cap {cap}")
-    anf.check_sweep_bits(m)  # before the embedding table, 2^r entries
+    anf.check_sweep(m, cap)  # before the subfield or embedding table
     ctx = build_context(m)
     rhs = curve_rhs(spec, ctx)
     if spec.alpha is None:
         fiber = 1 << spec.r
-        func = lambda x: ctx.relative_trace(rhs(x), spec.r)
+        code = ctx.subfield_code(spec.r)
+        func = lambda x: code(ctx.relative_trace(rhs(x), spec.r))
     else:
         fiber = 2
         alpha = ctx.embed_subfield(spec.r)[spec.alpha]
         func = lambda x: ctx.absolute_trace(ctx.mul(alpha, rhs(x)))
     values = anf.sweep(m, func, 2)
-    zeros = int(np.count_nonzero(values == 0))
-    return fiber * zeros + 1
+    return fiber * (values.size - int(np.count_nonzero(values))) + 1
 
 
 # ---------------------------------------------------------------------------

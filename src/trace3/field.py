@@ -266,6 +266,22 @@ class FieldContext:
         self._subfield_cache[r] = out
         return out
 
+    def subfield_code(self, r: int):
+        """v -> index of v in `subfield_elements(r)`: the bits of v at the
+        leading bits of the echelon basis sub[1 << j], a GF(2)-linear map;
+        AssertionError for v outside F_{2^r}."""
+        sub = self.subfield_elements(r)
+        pivots = [sub[1 << j].bit_length() - 1 for j in range(r)]
+
+        def code(v: int) -> int:
+            c = 0
+            for j, p in enumerate(pivots):
+                c |= ((v >> p) & 1) << j
+            if sub[c] != v:
+                raise AssertionError("swept values left the subfield")
+            return c
+        return code
+
     def embed_subfield(self, r: int) -> list:
         """Embedding table F_{2^r} -> F_{2^m}: entry a is the image of the
         element of the canonical F_{2^r} with bit pattern a.
@@ -327,13 +343,6 @@ class FieldContext:
                 basis.append(pre)
         assert len(basis) == r, (self.m, r, len(basis))
         return basis
-
-    def elements(self, start: int = 0, stop: int = None):
-        """All elements in increasing bit-pattern order; [start, stop) slices
-        support partitioned consumption."""
-        if stop is None:
-            stop = self.order
-        return range(start, stop)
 
 
 _CTX_CACHE = {}

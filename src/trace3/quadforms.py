@@ -169,10 +169,9 @@ def _arf_invariant(qf: QuadForm, rows, complement) -> int:
 
 def count_zeros_oracle(qf: QuadForm, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exhaustive zero count of Q over F_{2^m}."""
-    if qf.m > cap:
-        raise BudgetError(f"m = {qf.m} exceeds enumeration cap {cap}")
+    anf.check_sweep(qf.m, cap)
     values = anf.sweep(qf.m, qf.func, 2)
-    return int(np.count_nonzero(values == 0))
+    return values.size - int(np.count_nonzero(values))
 
 
 def expected_radical_dimension(family: int, r: int, n: int, klass: str) -> int:

@@ -100,29 +100,17 @@ def _trace_code_sweep(r: int, n: int, depth: int, cap: int):
     """(keys, sub, active): one sweep of the packed subfield codes of the
     first `depth` traces, those not empty sums (T2 needs n >= 2, T3 n >= 3).
 
-    The sorted subfield table sub has the reduced-row-echelon basis
-    sub[1 << j], so the index of v in it gathers the bits of v at the basis'
-    leading bits: a GF(2)-linear map.  Packed first trace highest, the codes
-    form a key of degree len(active) in r * len(active) bits.  Each trace
-    value evaluated is checked to lie in the subfield, which, being closed
-    under xor, then holds every swept value.
+    Codes are indices into the sorted subfield table sub
+    (`FieldContext.subfield_code`, GF(2)-linear), so packed first trace
+    highest they form a key of degree len(active) in r * len(active) bits.
+    Every value swept is an xor of evaluated ones, checked to be members.
     """
     m = r * n
-    if m > cap:
-        raise BudgetError(f"rn = {m} exceeds enumeration cap {cap}")
-    anf.check_sweep_bits(m)  # before the subfield table, 2^r entries
+    anf.check_sweep(m, cap)  # before the subfield table, 2^r entries
     ctx = build_context(m)
     sub = ctx.subfield_elements(r)
-    pivots = [sub[1 << j].bit_length() - 1 for j in range(r)]
+    code = ctx.subfield_code(r)
     active = range(min(depth, n))
-
-    def code(v):
-        c = 0
-        for j, p in enumerate(pivots):
-            c |= ((v >> p) & 1) << j
-        if sub[c] != v:
-            raise AssertionError("swept values left the subfield")
-        return c
 
     def key(x):
         t = trace_triple(ctx, r, x)
@@ -131,8 +119,7 @@ def _trace_code_sweep(r: int, n: int, depth: int, cap: int):
             k = k << r | code(t[i])
         return k
 
-    dtype = np.min_scalar_type((1 << r * len(active)) - 1)
-    return anf.sweep(m, key, len(active), dtype=dtype), sub, active
+    return anf.sweep(m, key, len(active)), sub, active
 
 
 def trace_census(r: int, n: int, which: str = "three",

@@ -10,7 +10,7 @@ scaled down or skipped rather than failed.
 """
 
 import random
-from concurrent.futures import ThreadPoolExecutor
+import time
 from fractions import Fraction
 
 from . import closedforms as cf
@@ -570,18 +570,24 @@ _SUITE_CHECKS = {
 }
 
 
-def run_suite(suite: str, max_bits: int = 20, threads: int = 1) -> dict:
-    """Run one suite (or 'all'); returns the report dict with summary."""
+def run_suite(suite: str, max_bits: int = 20, timing=None) -> dict:
+    """Run one suite (or 'all'); returns the report dict with summary.
+    Given a stream `timing`, each check writes one line there: its name,
+    elapsed ms and case count.  The report holds no time."""
     names = list(SUITES) if suite == "all" else [suite]
-    checks = []
+    records = []
     for name in names:
-        checks.extend(_SUITE_CHECKS[name])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: c(max_bits), checks))
-    else:
-        results = [c(max_bits) for c in checks]
-    records = [rec for group in results for rec in group]
+        for check in _SUITE_CHECKS[name]:
+            started = time.perf_counter()
+            group = check(max_bits)
+            if timing is not None:
+                elapsed = 1000 * (time.perf_counter() - started)
+                # "got" reads "<equal>/<cases> cases equal"
+                cases = sum(int(rec["got"].split("/")[1].split()[0])
+                            for rec in group)
+                print(f"{check.__name__} {elapsed:.0f} ms {cases} cases",
+                      file=timing)
+            records.extend(group)
     passed = sum(1 for rec in records if rec["pass"])
     return {
         "suite": suite,

@@ -232,7 +232,7 @@ def test_fourier_analyze_irrational_golden(capsys):
 
 def test_verify_tiny_budget(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "all",
-                             "--max-bits", "4", "--threads", "1")
+                             "--max-bits", "4")
     assert code == 0
     payload = json.loads(out)
     assert payload["summary"]["failed"] == 0
@@ -279,9 +279,19 @@ def test_verify_exit_code_on_mismatch(capsys, monkeypatch):
 
 
 def test_verify_timing_flag(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "quadforms",
-                           "--max-bits", "6", "--timing")
-    assert code == 0 and "wall_time_ms" in json.loads(out)
+    from trace3 import verify
+    argv = ("verify", "--suite", "quadforms", "--max-bits", "6")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--timing")
+    assert code == 0 and out == plain
+    checks = verify._SUITE_CHECKS["quadforms"]
+    lines = err.splitlines()[:-1]  # the last line is the summary
+    assert len(lines) == len(checks)
+    for line, check in zip(lines, checks):
+        name, ms, unit, cases, word = line.split()
+        assert name == check.__name__ and unit == "ms" and word == "cases"
+        assert int(ms) >= 0 and int(cases) > 0
 
 
 def test_global_flags_before_subcommand(capsys):
@@ -296,13 +306,6 @@ def test_output_determinism(capsys):
     _, out2, _ = run_cli(capsys, "verify", "--suite", "quadforms",
                          "--max-bits", "6")
     assert out1 == out2
-
-
-def test_threaded_verify_matches_serial():
-    from trace3 import verify
-    serial = verify.run_suite("quadforms", max_bits=10, threads=1)
-    threaded = verify.run_suite("quadforms", max_bits=10, threads=2)
-    assert serial == threaded
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -2,16 +2,18 @@ from fractions import Fraction
 
 import pytest
 
+from trace3 import anf
 from trace3.closedforms import count_all_zero_traces, count_two_traces
 from trace3.curves import (CurveSpec, alpha_class, charpoly_count,
                            closed_count_combined, closed_count_twist,
-                           count_points_oracle, factor_power_sum,
+                           count_points_oracle, curve_rhs, factor_power_sum,
                            factor_power_sums, frobenius_charpoly, genus,
                            hasse_weil_ok, kani_rosen_check,
                            power_sum_sequence, roots_symmetric_under_q,
                            spectral_count, supersingularity_certificate,
                            twist_classes)
-from trace3.field import BudgetError
+from trace3.field import BudgetError, build_context
+from trace3.quadforms import count_zeros_oracle, twist_form
 
 
 def test_spec_validation():
@@ -29,6 +31,57 @@ def test_oracle_base_field_counts():
 def test_oracle_budget():
     with pytest.raises(BudgetError):
         count_points_oracle(CurveSpec(1, 1), 40)
+
+
+def test_oracles_sweep_one_byte_per_element(monkeypatch):
+    itemsizes = []
+    real = anf.sweep
+
+    def spy(*args, **kwargs):
+        values = real(*args, **kwargs)
+        itemsizes.append(values.itemsize)
+        return values
+
+    monkeypatch.setattr(anf, "sweep", spy)
+    qf = twist_form(3, 3, 3, alpha=1)
+    got = [count_points_oracle(CurveSpec(3, r), 8 // r) for r in (1, 2, 4)]
+    got += [count_points_oracle(CurveSpec(2, 2, 2), 4),
+            2 * count_zeros_oracle(qf) + 1]
+    assert itemsizes == [1] * 5
+    assert all(type(v) is int for v in got)
+    monkeypatch.undo()
+    assert got == ([closed_count_combined(3, r, 8 // r) for r in (1, 2, 4)]
+                   + [closed_count_twist(2, 2, 4, alpha=2),
+                      closed_count_twist(3, 3, 3, alpha=1)])
+
+
+def brute_force_count(spec, n):
+    """Projective count from the image of y -> y^q + y (resp. y^2 + y),
+    listed element by element: an affine fiber over x holds q (resp. 2)
+    points when the right-hand side lies in that image."""
+    ctx = build_context(spec.r * n)
+    rhs = curve_rhs(spec, ctx)
+    if spec.alpha is None:
+        fiber = 1 << spec.r
+        image = {ctx.frobenius(y, spec.r) ^ y for y in range(ctx.order)}
+        scale = 1
+    else:
+        fiber = 2
+        image = {ctx.sqr(y) ^ y for y in range(ctx.order)}
+        scale = ctx.embed_subfield(spec.r)[spec.alpha]
+    return 1 + fiber * sum(ctx.mul(scale, rhs(x)) in image
+                           for x in range(ctx.order))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_oracle_matches_brute_force(r):
+    for family in (1, 2, 3):
+        alphas = [None] + [rep for _, rep, _ in twist_classes(family, r)]
+        for n in range(1, 10 // r + 1):
+            for alpha in alphas:
+                spec = CurveSpec(family, r, alpha)
+                assert (count_points_oracle(spec, n)
+                        == brute_force_count(spec, n)), (family, r, n, alpha)
 
 
 def test_combined_table_spot_values():

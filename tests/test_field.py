@@ -292,12 +292,3 @@ def test_embed_subfield_is_homomorphism(m, r):
         a, b = rng.randrange(1 << r), rng.randrange(1 << r)
         assert emb[a ^ b] == emb[a] ^ emb[b]
         assert emb[small.mul(a, b)] == big.mul(emb[a], emb[b])
-
-
-def test_enumeration():
-    assert list(build_context(1).elements()) == [0, 1]
-    two = list(build_context(2).elements())
-    assert len(two) == 4 and two[0] == 0
-    ctx = build_context(10)
-    assert len(ctx.elements()) == 1024
-    assert list(ctx.elements(10, 14)) == [10, 11, 12, 13]

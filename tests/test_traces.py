@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trace3 import gf2x, traces
-from trace3.anf import sweep
+from trace3.anf import check_sweep, sweep
 from trace3.closedforms import gauss_count, irreducible_all_zero
 from trace3.field import BudgetError, build_context
 from trace3.traces import (PrefixPoly, check_trace_addition_identities,
@@ -169,10 +169,12 @@ def test_subfield_index_is_pivot_gather():
             if m % r:
                 continue
             sub = ctx.subfield_elements(r)
-            pivots = [sub[1 << j].bit_length() - 1 for j in range(r)]
-            for index, v in enumerate(sub):
-                assert sum(((v >> p) & 1) << j
-                           for j, p in enumerate(pivots)) == index
+            code = ctx.subfield_code(r)
+            assert [code(v) for v in sub] == list(range(len(sub)))
+            if r < m:
+                outside = min(set(range(ctx.order)) - set(sub))
+                with pytest.raises(AssertionError, match="left the subfield"):
+                    code(outside)
 
 
 def test_trace_class_count_edge_cases():
@@ -189,15 +191,39 @@ def test_trace_class_count_edge_cases():
     assert trace_class_count(2, 3, ()) == 64
 
 
-@pytest.mark.parametrize("dtype,mask", [(np.uint8, 0xFF), (np.uint16, 0xFFFF)])
-def test_narrow_sweep_matches_uint32(dtype, mask):
-    ctx = build_context(18)
-    for exponent, degree in ((2, 1), (3, 2), (7, 3)):
-        def func(x):
-            return ctx.pow(x, exponent) & mask
-        narrow = sweep(ctx.m, func, degree, dtype=dtype)
-        assert narrow.dtype == dtype
-        assert np.array_equal(narrow, sweep(ctx.m, func, degree))
+@pytest.mark.parametrize("bits", [1, 8, 9, 16, 17])
+def test_sweep_dtype_is_narrowest(bits):
+    # linear images to `bits` bits of x -> x^e keep the degree of x^e
+    for m in (4, 9, 12):
+        ctx = build_context(m)
+        shift = max(1, bits - m)
+        for exponent, degree in ((2, 1), (3, 2), (7, 3)):
+            def func(x):
+                v = ctx.pow(x, exponent)
+                return (v ^ (v << shift)) & ((1 << bits) - 1)
+            direct = [func(x) for x in range(1 << m)]
+            spread = 0
+            for v in direct:
+                spread |= v
+            assert spread.bit_length() == bits
+            arr = sweep(m, func, degree)
+            assert arr.dtype == np.min_scalar_type(spread)
+            assert arr.tolist() == direct
+
+
+def test_check_sweep_order():
+    check_sweep(26, 26)
+    check_sweep(32)
+    with pytest.raises(BudgetError):
+        check_sweep(27, 26)
+    # both limits exceeded: the budget is reported first
+    with pytest.raises(BudgetError):
+        check_sweep(40, 33)
+    with pytest.raises(ValueError, match="at most 2\\^32") as info:
+        check_sweep(33, 40)
+    assert not isinstance(info.value, BudgetError)
+    with pytest.raises(ValueError, match="at most 2\\^32"):
+        check_sweep(33)
 
 
 def test_trace_addition_identities():
