@@ -4,18 +4,20 @@ normal form.
 A map f whose coordinates have GF(2)-degree at most d in the input bits is
 determined by its values on the inputs of Hamming weight <= d: the ANF
 coefficient attached to a bit set S is the xor of f over the subsets of S,
-and f(x) is the xor of the coefficients attached to subsets of x.  Scattering
-the coefficients into a 2^m array and running the subset-sum (zeta) butterfly
-then yields every value with m vectorized passes, which is what makes the
-full-field censuses and curve sweeps cheap.
+and f(x) is the xor of the coefficients attached to subsets of x, which the
+subset-sum (zeta) butterfly computes for every x.  It is blocked as
+Z_high (x) Z_low over the top m - c and low c input bits, as in Bouillaguet
+et al., "Fast exhaustive search for polynomial systems in F_2" (CHES 2010):
+the high levels run once on a table of 2^(m-c) rows of coefficients, and
+each row, scattered into one 2^c buffer, gives 2^c values.
 
 Trace maps relative to any subfield have degree 1/2/3 for the first, second
 and third trace, and the Artin-Schreier fiber predicates have degree 2, so
 everything swept in this package fits.  Linear images keep the degree, so the
 census sweeps the packed subfield indices of all three traces as one map,
 and the combined-curve oracle the subfield index of a relative trace.  Every
-exhaustive count checks its size with `check_sweep` and sweeps in the
-narrowest unsigned type that holds every ANF coefficient (so every value).
+exhaustive count checks its size with `check_sweep` and only counts values,
+so `sweep` returns their histogram and never holds more than one chunk.
 """
 
 import itertools
@@ -47,38 +49,71 @@ def check_sweep(m: int, cap: int = None):
                          f"m = {m} > {MAX_SWEEP_BITS}")
 
 
-def sweep(m: int, func, degree: int, spot_check: int = 16) -> np.ndarray:
-    """Array A with A[x] = func(x) for every m-bit x, of the narrowest
-    unsigned dtype that holds every ANF coefficient.
+CHUNK_BITS = 16  # a chunk covers at least 2^CHUNK_BITS inputs ...
+ROW_BITS = 12  # ... and a sweep at most 2^ROW_BITS chunks
 
-    func maps an int to an unsigned int below 2^64 and must have
-    GF(2)-degree <= degree; spot_check random inputs are validated against
-    the direct evaluation to guard the degree contract.
-    """
+
+def sweep_chunks(m: int, func, degree: int, spot_check: int = 16):
+    """(w, chunks): the values of func on the m-bit inputs in order, 2^c at a
+    time, c = min(m, max(CHUNK_BITS, w, m - ROW_BITS)), in one buffer of the
+    narrowest unsigned dtype holding every ANF coefficient, w the bit length
+    of the widest value.  func maps ints to unsigned ints below 2^64 with
+    GF(2)-degree <= degree, checked at spot_check random inputs as swept."""
     check_sweep(m)
     coeffs = {mask: func(mask) for mask in low_weight_masks(m, degree)}
     for i in range(m):  # Moebius transform: values to ANF coefficients
         for mask in coeffs:
             if mask >> i & 1:
                 coeffs[mask] ^= coeffs[mask ^ 1 << i]
-    arr = np.zeros(1 << m, dtype=np.min_scalar_type(max(coeffs.values())))
-    arr[list(coeffs)] = list(coeffs.values())
-    for i in range(m):
-        # xor half-blocks as words of up to 8 bytes: a numpy row per narrow
-        # block would cost more than the xor itself
-        block = arr.itemsize << i
-        unit = min(block, 8)
-        half = block // unit
-        view = arr.view(f"u{unit}").reshape(-1, 2 * half)
-        view[:, half:] ^= view[:, :half]
-    if spot_check:
-        rng = random.Random(0xC0DE ^ m)
-        for _ in range(spot_check):
-            x = rng.randrange(1 << m)
-            if int(arr[x]) != func(x):
-                raise AssertionError(
-                    f"map exceeds GF(2)-degree {degree} at input {x:#x}")
-    return arr
+    top = max(coeffs.values())
+    width = top.bit_length()
+    c = min(m, max(CHUNK_BITS, width, m - ROW_BITS))
+    low = np.array(sorted(low_weight_masks(c, degree)))
+    masks = np.array(list(coeffs))
+    table = np.zeros((1 << (m - c), low.size), dtype=np.min_scalar_type(top))
+    table[masks >> c, np.searchsorted(low, masks & (1 << c) - 1)] = list(
+        coeffs.values())
+    for i in range(m - c):  # the high levels, on the whole table at once
+        view = table.reshape(-1, 2, 1 << i, low.size)
+        view[:, 1] ^= view[:, 0]
+    rng = random.Random(0xC0DE ^ m)
+    spots = [rng.randrange(1 << m) for _ in range(spot_check)]
+
+    def chunks():
+        buf = np.empty(max(1 << c, 8), dtype=table.dtype)  # whole words
+        words = buf.view(np.uint64)
+        for row in range(table.shape[0]):
+            buf.fill(0)
+            buf[low] = table[row]
+            # low levels by shifts in (little-endian) words, then xors of words,
+            # by column while blocks are narrow: a numpy row each costs more
+            for bits in (8, 16, 32)[buf.itemsize.bit_length() - 1:]:
+                mask = sum(((1 << bits) - 1) << g for g in range(0, 64, 2 * bits))
+                words ^= (words & np.uint64(mask)) << np.uint64(bits)
+            for i in range(words.size.bit_length() - 1):
+                view = words.reshape(-1, 2, 1 << i)
+                for j in range(1 << i) if i < 3 else [slice(None)]:
+                    view[:, 1, j] ^= view[:, 0, j]
+            for x in spots:
+                if x >> c == row and int(buf[x & (1 << c) - 1]) != func(x):
+                    raise AssertionError(
+                        f"map exceeds GF(2)-degree {degree} at input {x:#x}")
+            yield buf[:1 << c]
+
+    return width, chunks()
+
+
+def sweep(m: int, func, degree: int, spot_check: int = 16) -> np.ndarray:
+    """Histogram of func on the m-bit inputs, 2^w int64s (see `sweep_chunks`)."""
+    width, chunks = sweep_chunks(m, func, degree, spot_check)
+    hist = np.zeros(1 << width, dtype=np.int64)
+    for values in chunks:
+        if width <= 3:  # a pass per value costs less than bincount's intp copy
+            ones = [np.count_nonzero(values == v) for v in range(1, hist.size)]
+            hist += [values.size - sum(ones)] + ones
+        else:
+            hist += np.bincount(values, minlength=hist.size)
+    return hist
 
 
 def subfield_codes(values: np.ndarray, subfield_sorted: np.ndarray) -> np.ndarray:

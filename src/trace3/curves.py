@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import numpy as np
-
 from . import anf
 from .cyclotomic import Cyc, sqrt2_power
 from .field import DEFAULT_ENUM_CAP, FieldContext, build_context
@@ -95,8 +93,7 @@ def count_points_oracle(spec: CurveSpec, n: int,
         fiber = 2
         alpha = ctx.embed_subfield(spec.r)[spec.alpha]
         func = lambda x: ctx.absolute_trace(ctx.mul(alpha, rhs(x)))
-    values = anf.sweep(m, func, 2)
-    return fiber * (values.size - int(np.count_nonzero(values))) + 1
+    return fiber * int(anf.sweep(m, func, 2)[0]) + 1
 
 
 # ---------------------------------------------------------------------------

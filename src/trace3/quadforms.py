@@ -9,8 +9,6 @@ of m row ints.
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import anf
 from .field import DEFAULT_ENUM_CAP, BudgetError, FieldContext, build_context
 
@@ -170,8 +168,7 @@ def _arf_invariant(qf: QuadForm, rows, complement) -> int:
 def count_zeros_oracle(qf: QuadForm, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exhaustive zero count of Q over F_{2^m}."""
     anf.check_sweep(qf.m, cap)
-    values = anf.sweep(qf.m, qf.func, 2)
-    return values.size - int(np.count_nonzero(values))
+    return int(anf.sweep(qf.m, qf.func, 2)[0])
 
 
 def expected_radical_dimension(family: int, r: int, n: int, klass: str) -> int:
@@ -198,8 +195,8 @@ def _cubic_fiber_counts(r: int):
     from one vectorized pass over the fibers of x -> x^3 + x (a map of
     bit-degree 2, so the low-degree sweep applies)."""
     ctx = build_context(r)
-    values = anf.sweep(r, lambda x: ctx.mul(ctx.sqr(x), x) ^ x, 2)
-    return np.bincount(values, minlength=ctx.order).tolist()
+    counts = anf.sweep(r, lambda x: ctx.mul(ctx.sqr(x), x) ^ x, 2).tolist()
+    return counts + [0] * (ctx.order - len(counts))
 
 
 def cubic_root_count(r: int, beta: int) -> int:

@@ -11,7 +11,7 @@ through the field's log/antilog tables.  The scalar `is_irreducible` is
 the reference, and the route for larger fields.
 """
 
-from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -67,48 +67,88 @@ def check_trace_addition_identities(ctx: FieldContext, r: int, a: int, b: int) -
 
 @dataclass
 class TraceCensus:
-    """Exhaustive counts of elements of F_{2^(rn)} bucketed by trace values.
-
-    Keys are tuples of big-field bit patterns: (t1,) for `which='one'`,
-    (t1, t2) for 'two', (t1, t2, t3) for 'three'.
-    """
+    """Exhaustive counts of elements of F_{2^(rn)} bucketed by trace values,
+    keyed by tuples of big-field bit patterns: (t1,) for `which='one'`,
+    (t1, t2) for 'two', (t1, t2, t3) for 'three'."""
     r: int
     n: int
     which: str
-    counts: dict
+    counts: "CensusCounts"
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.counts.hist.sum())
 
     def get(self, key) -> int:
         return self.counts.get(tuple(key), 0)
 
     def rows(self):
-        """Sorted (t1_bits, t2_bits, t3_bits, count) rows; absent traces 0."""
-        out = []
-        for key in sorted(self.counts):
-            padded = tuple(key) + (0,) * (3 - len(key))
-            out.append(padded + (self.counts[key],))
-        return out
+        """(t1_bits, t2_bits, t3_bits, count) rows in key (= code) order."""
+        for cols, counts in self.counts.blocks(3):
+            yield from zip(*cols, counts)
+
+
+class CensusCounts(Mapping):
+    """Read-only mapping, key of the first `depth` traces -> count, over the
+    histogram of their packed codes: the classes are its nonzero bins, keys
+    are decoded a block at a time in code order, counts are Python ints."""
+
+    BLOCK = 1 << 16
+
+    def __init__(self, r, n, depth, hist):
+        ctx = build_context(r * n)
+        self._r, self._depth, self._active = r, depth, min(depth, n)
+        self._code = ctx.subfield_code(r)
+        self._sub = np.array(ctx.subfield_elements(r), dtype=np.uint32)
+        self.hist, self._len = hist, int(np.count_nonzero(hist))
+
+    def __getitem__(self, key):
+        try:
+            if len(key) == self._depth and not any(key[self._active:]):
+                packed = 0
+                for t in key[:self._active]:
+                    packed = packed << self._r | self._code(t)
+                if packed < self.hist.size and self.hist[packed]:
+                    return int(self.hist[packed])
+        except (TypeError, AssertionError):  # not a key; not in the subfield
+            pass
+        raise KeyError(key)
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        for cols, _ in self.blocks(self._depth):
+            yield from zip(*cols)
+
+    def items(self):
+        return zip(self, self.values())
+
+    def values(self):
+        for _, counts in self.blocks(0):
+            yield from counts
+
+    def blocks(self, width: int):
+        """Per block of bins, `width` lists of the traces of its classes (0
+        for the empty sums) and the list of their counts."""
+        r, mask = self._r, (1 << self._r) - 1
+        for start in range(0, self.hist.size, self.BLOCK):
+            codes = np.flatnonzero(self.hist[start:start + self.BLOCK]) + start
+            cols = [self._sub[(codes >> s) & mask].tolist()
+                    for s in range(r * (self._active - 1), -1, -r)[:width]]
+            cols += [[0] * codes.size] * (width - len(cols))
+            yield cols, self.hist[codes].tolist()
 
 
 _WHICH_DEPTH = {"one": 1, "two": 2, "three": 3}
 
 
-def _trace_code_sweep(r: int, n: int, depth: int, cap: int):
-    """(keys, sub, active): one sweep of the packed subfield codes of the
-    first `depth` traces, those not empty sums (T2 needs n >= 2, T3 n >= 3).
-
-    Codes are indices into the sorted subfield table sub
-    (`FieldContext.subfield_code`, GF(2)-linear), so packed first trace
-    highest they form a key of degree len(active) in r * len(active) bits.
-    Every value swept is an xor of evaluated ones, checked to be members.
-    """
+def _census_counts(r: int, n: int, depth: int, cap: int) -> CensusCounts:
+    """Classes of the first `depth` traces by one sweep of the packed
+    `FieldContext.subfield_code`s (linear, checked) of the nonempty sums."""
     m = r * n
     anf.check_sweep(m, cap)  # before the subfield table, 2^r entries
     ctx = build_context(m)
-    sub = ctx.subfield_elements(r)
     code = ctx.subfield_code(r)
     active = range(min(depth, n))
 
@@ -119,43 +159,21 @@ def _trace_code_sweep(r: int, n: int, depth: int, cap: int):
             k = k << r | code(t[i])
         return k
 
-    return anf.sweep(m, key, len(active)), sub, active
+    return CensusCounts(r, n, depth, anf.sweep(m, key, len(active)))
 
 
 def trace_census(r: int, n: int, which: str = "three",
                  cap: int = DEFAULT_ENUM_CAP) -> TraceCensus:
-    """Census of all 2^(rn) elements by their first traces relative to
-    F_{2^r}, in increasing order of packed codes.  bincount copies its input
-    to intp, so it runs over slices of at least 2^20 keys."""
-    depth = _WHICH_DEPTH[which]
-    keys, sub, active = _trace_code_sweep(r, n, depth, cap)
-    bins = 1 << (r * len(active))
-    step = max(1 << 20, bins)
-    cnt = sum(np.bincount(keys[i:i + step], minlength=bins)
-              for i in range(0, keys.size, step))
-    del keys
-    codes, table = np.flatnonzero(cnt), np.array(sub, dtype=np.uint32)
-    cols = [table[(codes >> shift) & ((1 << r) - 1)].tolist()
-            for shift in range(r * (len(active) - 1), -1, -r)]
-    cols += [[0] * codes.size] * (depth - len(active))
+    """Census of F_{2^(rn)} by the first traces relative to F_{2^r}: one
+    chunked sweep into 2^(r min(n, depth)) counts, kept as one array."""
     return TraceCensus(r, n, which,
-                       dict(zip(zip(*cols), cnt[codes].tolist())))
+                       _census_counts(r, n, _WHICH_DEPTH[which], cap))
 
 
 def trace_class_count(r: int, n: int, traces, cap: int = DEFAULT_ENUM_CAP) -> int:
-    """Number of elements of F_{2^(rn)} whose first len(traces) traces equal
-    the given big-field bit patterns (no full census materialised); 0 for a
-    target outside the subfield or a nonzero one for an empty trace."""
-    keys, sub, active = _trace_code_sweep(r, n, len(traces), cap)
-    if any(traces[len(active):]):
-        return 0
-    target = 0
-    for i in active:
-        pos = bisect_left(sub, traces[i])
-        if pos == len(sub) or sub[pos] != traces[i]:
-            return 0
-        target = target << r | pos
-    return int(np.count_nonzero(keys == target))
+    """Number of elements of F_{2^(rn)} whose first traces are `traces`, as
+    big-field bit patterns; 0 off the subfield or nonzero on an empty sum."""
+    return _census_counts(r, n, len(traces), cap).get(tuple(traces), 0)
 
 
 def census_rows_json(census: TraceCensus):

@@ -96,8 +96,9 @@ def test_sweep_size_checked_before_subfield_tables(argv):
 
 
 def test_uncaught_exception_exits_3():
-    # a 2^32-byte sweep is within --max-bits 40 but not within the cap
-    proc = run_capped("count-traces", "--r", "1", "--n", "32",
+    # sweeps hold one chunk, but a census over F_{2^10} at n = 3 has 2^30
+    # codes: within --max-bits 40, its histogram is not within the cap
+    proc = run_capped("count-traces", "--r", "10", "--n", "3",
                       "--max-bits", "40")
     assert proc.returncode == 3
     assert proc.stdout == ""

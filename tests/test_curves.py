@@ -35,14 +35,18 @@ def test_oracle_budget():
 
 def test_oracles_sweep_one_byte_per_element(monkeypatch):
     itemsizes = []
-    real = anf.sweep
+    real = anf.sweep_chunks
 
     def spy(*args, **kwargs):
-        values = real(*args, **kwargs)
-        itemsizes.append(values.itemsize)
-        return values
+        width, chunks = real(*args, **kwargs)
 
-    monkeypatch.setattr(anf, "sweep", spy)
+        def watched():  # at rn = 8 each sweep is one chunk
+            for values in chunks:
+                itemsizes.append(values.itemsize)
+                yield values
+        return width, watched()
+
+    monkeypatch.setattr(anf, "sweep_chunks", spy)
     qf = twist_form(3, 3, 3, alpha=1)
     got = [count_points_oracle(CurveSpec(3, r), 8 // r) for r in (1, 2, 4)]
     got += [count_points_oracle(CurveSpec(2, 2, 2), 4),

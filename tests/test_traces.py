@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trace3 import gf2x, traces
-from trace3.anf import check_sweep, sweep
+from trace3.anf import check_sweep, sweep_chunks
 from trace3.closedforms import gauss_count, irreducible_all_zero
 from trace3.field import BudgetError, build_context
 from trace3.traces import (PrefixPoly, check_trace_addition_identities,
@@ -135,7 +135,9 @@ def reference_census(r, n, which):
     active = [i for i in range(depth) if i < n]
     key = np.zeros(ctx.order, dtype=np.uint64)
     for i in active:
-        values = sweep(ctx.m, lambda x: trace_triple(ctx, r, x)[i], i + 1)
+        _, chunks = sweep_chunks(ctx.m, lambda x: trace_triple(ctx, r, x)[i],
+                                 i + 1)
+        values = np.concatenate([v.copy() for v in chunks])
         codes = np.minimum(np.searchsorted(sub, values), len(sub) - 1)
         assert np.array_equal(sub[codes], values)
         key = key << np.uint64(r) | codes.astype(np.uint64)
@@ -206,7 +208,8 @@ def test_sweep_dtype_is_narrowest(bits):
             for v in direct:
                 spread |= v
             assert spread.bit_length() == bits
-            arr = sweep(m, func, degree)
+            _, chunks = sweep_chunks(m, func, degree)
+            arr = np.concatenate([v.copy() for v in chunks])
             assert arr.dtype == np.min_scalar_type(spread)
             assert arr.tolist() == direct
 
