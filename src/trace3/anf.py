@@ -53,12 +53,12 @@ CHUNK_BITS = 16  # a chunk covers at least 2^CHUNK_BITS inputs ...
 ROW_BITS = 12  # ... and a sweep at most 2^ROW_BITS chunks
 
 
-def sweep_chunks(m: int, func, degree: int, spot_check: int = 16):
+def sweep_chunks(m: int, func, degree: int):
     """(w, chunks): the values of func on the m-bit inputs in order, 2^c at a
     time, c = min(m, max(CHUNK_BITS, w, m - ROW_BITS)), in one buffer of the
     narrowest unsigned dtype holding every ANF coefficient, w the bit length
     of the widest value.  func maps ints to unsigned ints below 2^64 with
-    GF(2)-degree <= degree, checked at spot_check random inputs as swept."""
+    GF(2)-degree <= degree, checked at 16 random inputs as swept."""
     check_sweep(m)
     coeffs = {mask: func(mask) for mask in low_weight_masks(m, degree)}
     for i in range(m):  # Moebius transform: values to ANF coefficients
@@ -77,7 +77,7 @@ def sweep_chunks(m: int, func, degree: int, spot_check: int = 16):
         view = table.reshape(-1, 2, 1 << i, low.size)
         view[:, 1] ^= view[:, 0]
     rng = random.Random(0xC0DE ^ m)
-    spots = [rng.randrange(1 << m) for _ in range(spot_check)]
+    spots = [rng.randrange(1 << m) for _ in range(16)]
 
     def chunks():
         buf = np.empty(max(1 << c, 8), dtype=table.dtype)  # whole words
@@ -103,9 +103,9 @@ def sweep_chunks(m: int, func, degree: int, spot_check: int = 16):
     return width, chunks()
 
 
-def sweep(m: int, func, degree: int, spot_check: int = 16) -> np.ndarray:
+def sweep(m: int, func, degree: int) -> np.ndarray:
     """Histogram of func on the m-bit inputs, 2^w int64s (see `sweep_chunks`)."""
-    width, chunks = sweep_chunks(m, func, degree, spot_check)
+    width, chunks = sweep_chunks(m, func, degree)
     hist = np.zeros(1 << width, dtype=np.int64)
     for values in chunks:
         if width <= 3:  # a pass per value costs less than bincount's intp copy

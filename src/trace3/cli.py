@@ -73,6 +73,12 @@ def cmd_count_irreducibles(args):
 
 def cmd_formula(args):
     kind = args.kind
+    if kind in ("gauss", "carlitz"):  # over F_q, q = 2^r with r >= 1
+        if _log2(args.q) < 1 or args.n < 1:
+            raise ValueError(f"need q >= 2 and n >= 1, got q = {args.q}, "
+                             f"n = {args.n}")
+        if kind == "carlitz" and not 0 <= args.t1 < args.q:
+            raise ValueError(f"need 0 <= t1 < q, got t1 = {args.t1}")
     if kind == "gauss":
         value = cf.gauss_count(args.q, args.n)
         params = {"q": args.q, "n": args.n}
@@ -103,44 +109,15 @@ def cmd_formula(args):
 
 def cmd_curve_count(args):
     family = _FAMILY[args.family]
-    methods = (["oracle", "table", "charpoly", "fourier", "quadform"]
-               if args.method == "all" else [args.method])
-    counts = {}
-    for method in methods:
-        if args.alpha is None:
-            if method == "quadform":
-                if args.method != "all":
-                    raise ValueError("quadform route applies to twists only")
-                continue
-            if method == "oracle":
-                spec = curves.CurveSpec(family, args.r)
-                counts[method] = curves.count_points_oracle(
-                    spec, args.n, cap=args.max_bits)
-            elif method == "table":
-                counts[method] = curves.closed_count_combined(
-                    family, args.r, args.n)
-            elif method == "charpoly":
-                counts[method] = curves.charpoly_count(family, args.r, args.n)
-            else:
-                counts[method] = curves.spectral_count(family, args.r, args.n)
-        else:
-            if method in ("charpoly", "fourier"):
-                if args.method != "all":
-                    raise ValueError(f"{method} route covers combined curves only")
-                continue
-            if method == "oracle":
-                spec = curves.CurveSpec(family, args.r, args.alpha)
-                counts[method] = curves.count_points_oracle(
-                    spec, args.n, cap=args.max_bits)
-            elif method == "table":
-                counts[method] = curves.closed_count_twist(
-                    family, args.r, args.n, alpha=args.alpha)
-            else:
-                rep = quadforms.radical_report(
-                    quadforms.twist_form(family, args.r, args.n, args.alpha))
-                counts[method] = rep.twist_count
+    spec = curves.CurveSpec(family, args.r, args.alpha)
+    routes = curves.COMBINED_ROUTES if args.alpha is None else curves.TWIST_ROUTES
+    if args.method not in (*routes, "all"):
+        other = "twists" if args.alpha is None else "combined curves"
+        raise ValueError(f"{args.method} route covers {other} only")
+    methods = list(routes) if args.method == "all" else [args.method]
+    counts = {m: routes[m](spec, args.n, args.max_bits) for m in methods}
     agree = len(set(counts.values())) == 1
-    g = curves.genus(curves.CurveSpec(family, args.r, args.alpha))
+    g = curves.genus(spec)
     payload = {
         "family": args.family, "r": args.r, "n": args.n,
         "alpha": args.alpha,
@@ -316,9 +293,8 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=int)
-    p.add_argument("--method", default="all",
-                   choices=("oracle", "table", "charpoly", "fourier",
-                            "quadform", "all"))
+    p.add_argument("--method", default="all", choices=tuple(dict.fromkeys(
+        [*curves.COMBINED_ROUTES, *curves.TWIST_ROUTES, "all"])))
     p.set_defaults(func=cmd_curve_count)
     p = add_parser(curve_sub, "charpoly")
     p.add_argument("--family", choices=("c1", "c2", "c3"), required=True)

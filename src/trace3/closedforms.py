@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .cyclotomic import Cyc, imaginary_unit, sqrt2_power
+from .cyclotomic import Cyc, imaginary_unit, root_group_sum, sqrt2_power
 from .fourier import PeriodicFormula, deviation
 from .residues import (ALL_ZERO, BASE_FIELD, PARITY_COLUMNS, ResidueTable,
                        check_rn, evaluate)
@@ -312,13 +312,6 @@ def irreducible_all_zero_via_carlitz(r: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # spectral form of the all-zero-trace count (both parities of r)
 
-def _group_sum(n: int, exps) -> Cyc:
-    out = Cyc.rational(24, 0)
-    for k in exps:
-        out = out + Cyc.zeta_pow(24, k * n)
-    return out
-
-
 def _f000_groups(r: int):
     q = 1 << r
     if r % 2:
@@ -348,9 +341,7 @@ def count_all_zero_traces_spectral(r: int, n: int) -> int:
     q^(n-3) - q^(n/2-3) * sum over eigenvalue groups, exactly in Q(zeta_24)."""
     check_rn(r, n)
     q = 1 << r
-    acc = Cyc.rational(24, 0)
-    for coef, exps in _f000_groups(r):
-        acc = acc + _group_sum(n, exps).scale(coef)
+    acc = root_group_sum(24, _f000_groups(r), n)
     total = Cyc.rational(24, Fraction(q) ** (n - 3)) \
         - sqrt2_power(24, r * (n - 6)) * acc
     val = total.as_rational()

@@ -5,16 +5,21 @@
     C3: y^q + y = x^(2q+1) + x^(q+2) + x^(q+1) + x^2       (q = 2^r)
 
 and their quadratic twists C_{i,alpha}: y^2 + y = alpha * f_i(x), through
-four independent routes: exhaustive fiber counting, the periodic residue
+independent routes: exhaustive fiber counting, the periodic residue
 tables, the factored Frobenius characteristic polynomial (the power sum
 p_n of each factor's roots from X^n mod the factor, by binary powering,
-and its first Newton power sums), and the root-of-unity spectral sums.
+and its first Newton power sums), the root-of-unity spectral sums, and
+for twists the Arf invariant of the quadratic form (`quadforms`).
 Projective counts throughout: one point at infinity per curve.
+`COMBINED_ROUTES` and `TWIST_ROUTES` map each route's name to its
+count(spec, n, cap).
 
 The residue tables are `ResidueTable`s (see `residues`) holding the
 deviation from 2^(rn) + 1 as single terms sign * poly(q) *
 2^(r(n+ofs)/2 + plus): one table per combined curve and a pair (odd r,
-even r) per twist branch.
+even r) per twist branch.  `twist_classes` enumerates the branches that
+occur over F_{2^r}; its representative is the smallest alpha for C1 and
+C2, and 1/beta for the smallest beta = 1/alpha of the branch for C3.
 """
 
 from dataclasses import dataclass
@@ -22,9 +27,10 @@ from fractions import Fraction
 from math import gcd
 
 from . import anf
-from .cyclotomic import Cyc, sqrt2_power
+from .cyclotomic import Cyc, root_group_sum, sqrt2_power
 from .field import DEFAULT_ENUM_CAP, FieldContext, build_context
-from .quadforms import cubic_root_count
+from .quadforms import (cubic_root_census, cubic_root_count, radical_report,
+                        twist_form)
 from .residues import CURVE, PARITY_COLUMNS, ResidueTable, check_rn
 
 
@@ -211,7 +217,7 @@ def alpha_class(family: int, r: int, alpha: int) -> str:
     whether alpha is a cube (always, for odd r); C3 splits on how many roots
     x^3 + x + 1/alpha has in F_{2^r}."""
     ctx = build_context(r)
-    if alpha == 0 or alpha >= ctx.order:
+    if not 1 <= alpha < ctx.order:
         raise ValueError("alpha must be a nonzero element of F_{2^r}")
     if family == 1:
         return "all"
@@ -326,49 +332,32 @@ def closed_count_twist(family: int, r: int, n: int, alpha: int = 1,
 
 
 def twist_classes(family: int, r: int) -> list:
-    """The twist branches that actually occur over F_{2^r}, with a
-    representative alpha and the number of alphas in each."""
-    found = {}
-    for alpha in range(1, 1 << r):
-        k = alpha_class(family, r, alpha)
-        if k not in found:
-            found[k] = [alpha, 0]
-        found[k][1] += 1
-    return [(k, rep, cnt) for k, (rep, cnt) in sorted(found.items())]
+    """(class, representative alpha, number of alphas) for each twist
+    branch that occurs over F_{2^r}, by class name.  The sizes come from
+    the field: (q-1)/gcd(3, q-1) cubes for C2, the cubic root census for
+    C3.  The representative is the smallest alpha of the branch for C1 and
+    C2, and 1/beta for the smallest beta of the branch for C3."""
+    q = 1 << r
+    if family == 1:
+        return [("all", 1, q - 1)]
+    if family == 2:
+        cubes = (q - 1) // gcd(3, q - 1)
+        if cubes == q - 1:
+            return [("cube", 1, cubes)]
+        noncube = next(a for a in range(2, q)
+                       if alpha_class(2, r, a) == "noncube")
+        return [("cube", 1, cubes), ("noncube", noncube, q - 1 - cubes)]
+    inv = build_context(r).inv
+    return sorted(
+        (f"{k}-roots",
+         inv(next(b for b in range(1, q) if cubic_root_count(r, b) == k)),
+         size)
+        for k, size in zip((3, 1, 0), cubic_root_census(r)) if size)
 
 
 def twist_class_representatives(family: int, r: int) -> dict:
-    """One representative alpha per branch, found by scanning alphas until
-    the expected branch set is complete (cheap even for large r, unlike the
-    full per-class counts of twist_classes)."""
-    if family == 1:
-        return {"all": 1}
-    ctx = build_context(r)
-    if family == 2:
-        expected = {"cube"} | ({"noncube"} if r % 2 == 0 else set())
-        found = {}
-        for alpha in range(1, 1 << r):
-            k = alpha_class(family, r, alpha)
-            if k not in found:
-                found[k] = alpha
-                if set(found) == expected:
-                    return found
-        raise AssertionError(f"missing twist classes: {expected - set(found)}")
-    # family 3: scan beta = 1/alpha through the cached fiber table, one
-    # inversion per discovered class
-    from .quadforms import _cubic_fiber_counts, cubic_root_census_expected
-    m3, m1, m0 = cubic_root_census_expected(r)
-    expected = {name for name, count in
-                (("3-roots", m3), ("1-roots", m1), ("0-roots", m0)) if count}
-    counts = _cubic_fiber_counts(r)
-    found = {}
-    for beta in range(1, 1 << r):
-        k = f"{counts[beta]}-roots"
-        if k not in found:
-            found[k] = ctx.inv(beta)
-            if set(found) == expected:
-                return found
-    raise AssertionError(f"missing twist classes: {expected - set(found)}")
+    """class -> representative alpha of `twist_classes`."""
+    return {klass: alpha for klass, alpha, _ in twist_classes(family, r)}
 
 
 def kani_rosen_check(family: int, r: int, n: int, method: str = "closed",
@@ -511,14 +500,7 @@ def factor_power_sum(coeffs, n: int) -> int:
     first = factor_power_sums(coeffs, d - 1)
     if n < d:
         return first[n]
-    rem, power = [1], [1, 0]  # X^0, X
-    while n:
-        if n & 1:
-            rem = _poly_mulmod_desc(rem, power, coeffs)
-        n >>= 1
-        if n:
-            power = _poly_mulmod_desc(power, power, coeffs)
-    return sum(a * p for a, p in zip(reversed(rem), first))
+    return sum(a * p for a, p in zip(reversed(_x_power_mod(n, coeffs)), first))
 
 
 def power_sum_sequence(fd: FrobeniusData, n: int) -> int:
@@ -557,7 +539,8 @@ def supersingularity_certificate(fd_or_factors) -> bool:
         items = [f for f, _ in fd_or_factors.factors]
     else:
         q, items = fd_or_factors
-    return all(_x48_is_q24(coeffs, q) for coeffs in items)
+    return all(_x_power_mod(48, coeffs) == [0] * (len(coeffs) - 2) + [q ** 24]
+               for coeffs in items)
 
 
 def _poly_mulmod_desc(a, b, mod):
@@ -578,22 +561,17 @@ def _poly_mulmod_desc(a, b, mod):
     return prod
 
 
-def _x48_is_q24(coeffs, q: int) -> bool:
-    d = len(coeffs) - 1
-    if d == 1:
-        return (-coeffs[1]) ** 48 == q ** 24
-    mod = list(coeffs)
-    result = [1]
-    cur = [1, 0]  # X
-    e = 48
+def _x_power_mod(e: int, mod) -> list:
+    """X^e modulo the monic integer polynomial mod of degree d, by binary
+    powering: d coefficients, descending."""
+    rem, power = [1], [1, 0]  # X^0, X
     while e:
         if e & 1:
-            result = _poly_mulmod_desc(result, cur, mod)
-        cur = _poly_mulmod_desc(cur, cur, mod)
+            rem = _poly_mulmod_desc(rem, power, mod)
         e >>= 1
-    while len(result) < d:
-        result.insert(0, 0)
-    return result == [0] * (d - 1) + [q ** 24]
+        if e:
+            power = _poly_mulmod_desc(power, power, mod)
+    return [0] * (len(mod) - 1 - len(rem)) + rem
 
 
 # ---------------------------------------------------------------------------
@@ -651,12 +629,7 @@ def spectral_count(family: int, r: int, n: int) -> int:
     q^n + 1 - sum_groups c * (sqrt q)^n * sum_k omega_24^(kn), evaluated
     exactly in Q(zeta_24)."""
     check_rn(r, n)
-    acc = Cyc.rational(24, 0)
-    for coef, exps in _spectral_groups(family, r):
-        grp = Cyc.rational(24, 0)
-        for k in exps:
-            grp = grp + Cyc.zeta_pow(24, k * n)
-        acc = acc + grp.scale(coef)
+    acc = root_group_sum(24, _spectral_groups(family, r), n)
     total = Cyc.rational(24, (1 << (r * n)) + 1) - sqrt2_power(24, r * n) * acc
     val = total.as_rational()
     assert val.denominator == 1
@@ -667,3 +640,23 @@ def hasse_weil_ok(count: int, g: int, r: int, n: int) -> bool:
     """|count - (q^n + 1)| <= 2 g sqrt(q^n), compared in squares."""
     dev = count - ((1 << (r * n)) + 1)
     return dev * dev <= 4 * g * g * (1 << (r * n))
+
+
+# ---------------------------------------------------------------------------
+# the routes by name: count(spec, n, cap) is the projective point count over
+# F_{2^(rn)}, cap the enumeration budget of the exhaustive route
+
+COMBINED_ROUTES = {
+    "oracle": lambda spec, n, cap: count_points_oracle(spec, n, cap),
+    "table": lambda spec, n, cap: closed_count_combined(spec.family, spec.r, n),
+    "charpoly": lambda spec, n, cap: charpoly_count(spec.family, spec.r, n),
+    "fourier": lambda spec, n, cap: spectral_count(spec.family, spec.r, n),
+}
+
+TWIST_ROUTES = {
+    "oracle": lambda spec, n, cap: count_points_oracle(spec, n, cap),
+    "table": lambda spec, n, cap: closed_count_twist(spec.family, spec.r, n,
+                                                     spec.alpha),
+    "quadform": lambda spec, n, cap: radical_report(
+        twist_form(spec.family, spec.r, n, spec.alpha)).twist_count,
+}

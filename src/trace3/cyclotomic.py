@@ -228,6 +228,19 @@ def sqrt2_power(p: int, e: int) -> Cyc:
     return out
 
 
+def root_group_sum(p: int, groups, n: int) -> Cyc:
+    """sum over (weight, exps) in groups of weight * sum_{k in exps}
+    zeta_P^(kn): the n-th power sum of eigenvalue groups on the P-th roots
+    of unity, each group carrying one rational weight."""
+    acc = Cyc.rational(p, 0)
+    for weight, exps in groups:
+        grp = Cyc.rational(p, 0)
+        for k in exps:
+            grp = grp + Cyc.zeta_pow(p, k * n)
+        acc = acc + grp.scale(weight)
+    return acc
+
+
 def imaginary_unit(p: int) -> Cyc:
     """i = zeta_4, available whenever 4 | P."""
     if p % 4:

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import anf
-from .field import DEFAULT_ENUM_CAP, BudgetError, FieldContext, build_context
-
-MATRIX_CAP = 64
+from .field import DEFAULT_ENUM_CAP, FieldContext, build_context
 
 
 @dataclass
@@ -44,12 +42,10 @@ def twist_form(family: int, r: int, n: int, alpha: int = 1) -> QuadForm:
     return QuadForm(family, alpha, r, n, ctx, func)
 
 
-def bilinear_matrix(qf: QuadForm, cap: int = MATRIX_CAP) -> list:
+def bilinear_matrix(qf: QuadForm) -> list:
     """Polarization B(x,y) = Q(x+y) + Q(x) + Q(y) on the monomial basis,
     as bit-packed rows; symmetric with zero diagonal."""
     m = qf.m
-    if m > cap:
-        raise BudgetError(f"m = {m} exceeds matrix cap {cap}")
     q_basis = [qf.value(1 << i) for i in range(m)]
     rows = [0] * m
     for i in range(m):
@@ -113,7 +109,7 @@ class RadicalReport:
         return 2 * self.zero_count + 1
 
 
-def radical_report(qf: QuadForm, cap: int = MATRIX_CAP) -> RadicalReport:
+def radical_report(qf: QuadForm) -> RadicalReport:
     """Radical data, rank and signed zero count of Q.
 
     The zero count is 2^(m-1) for odd rank, and
@@ -121,7 +117,7 @@ def radical_report(qf: QuadForm, cap: int = MATRIX_CAP) -> RadicalReport:
     invariant of the nondegenerate quotient (greedy symplectic reduction).
     """
     m = qf.m
-    rows = bilinear_matrix(qf, cap)
+    rows = bilinear_matrix(qf)
     kernel, complement = _kernel_and_pivots(rows)
     w = len(kernel)
     assert (m - w) % 2 == 0, "symplectic rank must be even"
@@ -209,11 +205,8 @@ def cubic_root_count(r: int, beta: int) -> int:
 
 def cubic_root_census(r: int) -> tuple:
     """(M3, M1, M0): how many nonzero beta give 3, 1, 0 roots."""
-    counts = _cubic_fiber_counts(r)
-    m3 = sum(1 for c in counts[1:] if c == 3)
-    m1 = sum(1 for c in counts[1:] if c == 1)
-    m0 = sum(1 for c in counts[1:] if c == 0)
-    return m3, m1, m0
+    counts = _cubic_fiber_counts(r)[1:]
+    return tuple(counts.count(k) for k in (3, 1, 0))
 
 
 def cubic_root_census_expected(r: int) -> tuple:

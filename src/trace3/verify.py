@@ -113,11 +113,11 @@ def check_irreducible_inversion(max_bits):
     return [col.record()]
 
 
-def check_inversion_integrality(max_bits, n_hi=1000):
-    col = _Collector("inversion-integrality", {"q": "2,4,8,16", "n": f"3..{n_hi}"},
+def check_inversion_integrality(max_bits):
+    col = _Collector("inversion-integrality", {"q": "2,4,8,16", "n": "3..1000"},
                      "nonnegative integer; both forms equal for even r")
     for r in (1, 2, 3, 4):
-        for n in range(3, n_hi + 1):
+        for n in range(3, 1001):
             try:
                 val = cf.irreducible_all_zero(r, n)
                 ok = val >= 0
@@ -215,8 +215,8 @@ def check_joint_zero_identity(max_bits):
 # ---------------------------------------------------------------------------
 # curves suite
 
-def _feasible_rn(max_bits, r_hi=20):
-    return [(r, n) for r in range(1, r_hi + 1)
+def _feasible_rn(max_bits):
+    return [(r, n) for r in range(1, 21)
             for n in range(1, max_bits // r + 1)]
 
 

@@ -44,7 +44,7 @@ def test_criterion_04_irreducible_inversion():
     counted = records[0]
     # the stated grid (q=2: n 3..16, q=4: n 3..8, q=8: n 3..6) must have run
     assert counted["got"].startswith("24/24"), counted
-    records += verify.check_inversion_integrality(20, n_hi=1000)
+    records += verify.check_inversion_integrality(20)
     _report(4, "irreducible counts: enumeration grid + integrality to n = 1000",
             records)
 

@@ -31,6 +31,20 @@ def test_formula_commands(capsys):
     assert code == 0 and json.loads(out)["value"] == "48"
 
 
+@pytest.mark.parametrize("argv", [
+    ("gauss", "--n", "0"),
+    ("carlitz", "--n", "0"),
+    ("carlitz", "--q", "3", "--n", "3", "--t1", "1"),
+    ("gauss", "--q", "6", "--n", "4"),
+    ("gauss", "--q", "0", "--n", "4"),
+    ("carlitz", "--q", "2", "--n", "4", "--t1", "5"),
+], ids=["gauss-n0", "carlitz-n0", "carlitz-q3", "gauss-q6", "gauss-q0",
+        "carlitz-t1-5"])
+def test_formula_rejects_bad_q_n_or_t1(capsys, argv):
+    code, out, err = run_cli(capsys, "formula", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_count_traces_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, "count-traces", "--r", "1", "--n", "6")
     assert code == 0
@@ -164,6 +178,13 @@ def test_curve_count_method_restrictions(capsys):
                            "--r", "1", "--n", "3", "--alpha", "1",
                            "--method", "charpoly")
     assert code == 2
+
+
+def test_curve_count_rejects_negative_alpha(capsys):
+    code, out, err = run_cli(capsys, "curve", "count", "--family", "c2",
+                             "--r", "2", "--n", "3", "--alpha", "-1",
+                             "--method", "table")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,16 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from trace3 import anf
+from trace3 import anf, quadforms
 from trace3.closedforms import count_all_zero_traces, count_two_traces
-from trace3.curves import (CurveSpec, alpha_class, charpoly_count,
+from trace3.curves import (COMBINED_ROUTES, TWIST_ROUTES, CurveSpec,
+                           _x_power_mod, alpha_class, charpoly_count,
                            closed_count_combined, closed_count_twist,
                            count_points_oracle, curve_rhs, factor_power_sum,
                            factor_power_sums, frobenius_charpoly, genus,
                            hasse_weil_ok, kani_rosen_check,
                            power_sum_sequence, roots_symmetric_under_q,
                            spectral_count, supersingularity_certificate,
-                           twist_classes)
+                           twist_class_representatives, twist_classes)
 from trace3.field import BudgetError, build_context
 from trace3.quadforms import count_zeros_oracle, twist_form
 
@@ -111,6 +112,89 @@ def test_alpha_classes():
     assert classes == {"0-roots": 3, "1-roots": 3, "3-roots": 1}
 
 
+@pytest.mark.parametrize("family", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [-1, 0, 4])
+def test_alpha_class_rejects_alpha_outside_the_field(family, alpha):
+    with pytest.raises(ValueError):
+        alpha_class(family, 2, alpha)
+
+
+@pytest.mark.parametrize("r", range(1, 11))
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_twist_classes_group_alpha_class(family, r):
+    # classes and sizes from grouping every alpha; the representative is
+    # the smallest alpha, or for C3 1/beta for the smallest beta = 1/alpha
+    groups = {}
+    for alpha in range(1, 1 << r):
+        groups.setdefault(alpha_class(family, r, alpha), []).append(alpha)
+    inv = build_context(r).inv
+    expected = [(klass, min(alphas) if family < 3
+                 else inv(min(inv(a) for a in alphas)), len(alphas))
+                for klass, alphas in sorted(groups.items())]
+    assert twist_classes(family, r) == expected
+
+
+# C2 noncube and C3 representatives by r, as before `twist_classes` served
+# both: they key the recorded sweep values and the benchmark's case labels
+RECORDED_NONCUBE = {2: 2, 4: 2, 6: 2, 8: 2, 10: 2, 12: 2, 14: 7}
+RECORDED_C3 = {
+    1: {"0-roots": 1}, 2: {"0-roots": 1, "1-roots": 3},
+    3: {"0-roots": 5, "1-roots": 6, "3-roots": 1},
+    4: {"0-roots": 1, "1-roots": 9, "3-roots": 7},
+    5: {"0-roots": 1, "1-roots": 18, "3-roots": 28},
+    6: {"0-roots": 31, "1-roots": 33, "3-roots": 1},
+    7: {"0-roots": 1, "1-roots": 126, "3-roots": 65},
+    8: {"0-roots": 1, "1-roots": 141, "3-roots": 176},
+    9: {"0-roots": 257, "1-roots": 510, "3-roots": 1},
+    10: {"0-roots": 1, "1-roots": 1016, "3-roots": 516},
+    11: {"0-roots": 1, "1-roots": 1026, "3-roots": 511},
+    12: {"0-roots": 1481, "1-roots": 4088, "3-roots": 1},
+    13: {"0-roots": 1, "1-roots": 4091, "3-roots": 4109},
+    14: {"0-roots": 1, "1-roots": 16352, "3-roots": 2052},
+}
+
+
+@pytest.mark.parametrize("r", range(1, 15))
+def test_twist_class_representatives_recorded(r):
+    assert twist_class_representatives(1, r) == {"all": 1}
+    noncube = ({"noncube": RECORDED_NONCUBE[r]} if r in RECORDED_NONCUBE
+               else {})
+    assert twist_class_representatives(2, r) == {"cube": 1, **noncube}
+    assert twist_class_representatives(3, r) == RECORDED_C3[r]
+
+
+def test_twist_classes_need_no_census_closed_form(monkeypatch):
+    # the closed form is what check_cubic_census verifies, so the classes
+    # must come from the field alone
+    def closed_form(r):
+        raise AssertionError("cubic census closed form consulted")
+
+    monkeypatch.setattr(quadforms, "cubic_root_census_expected", closed_form)
+    for r in range(1, 9):
+        occurring = {alpha_class(3, r, a) for a in range(1, 1 << r)}
+        assert set(twist_class_representatives(3, r)) == occurring
+        classes = twist_classes(3, r)
+        assert {k for k, _, _ in classes} == occurring
+        assert sum(size for _, _, size in classes) == (1 << r) - 1
+
+
+def test_route_tables():
+    assert list(COMBINED_ROUTES) == ["oracle", "table", "charpoly", "fourier"]
+    assert list(TWIST_ROUTES) == ["oracle", "table", "quadform"]
+    for family in (1, 2, 3):
+        for r in (1, 2, 3):
+            for n in (1, 2, 5):
+                spec = CurveSpec(family, r)
+                assert {route(spec, n, 26) for route in COMBINED_ROUTES.values()
+                        } == {closed_count_combined(family, r, n)}
+                for alpha in range(1, 1 << r):
+                    spec = CurveSpec(family, r, alpha)
+                    assert {route(spec, n, 26) for route in TWIST_ROUTES.values()
+                            } == {closed_count_twist(family, r, n, alpha)}
+    with pytest.raises(BudgetError):
+        COMBINED_ROUTES["oracle"](CurveSpec(1, 2), 9, 16)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_oracle_vs_closed_combined_and_twists(r):
     for family in (1, 2, 3):
@@ -207,6 +291,19 @@ def test_power_sum_by_powering_matches_newton():
     for coeffs in sorted(factors):
         newton = factor_power_sums(coeffs, 500)
         assert [factor_power_sum(coeffs, n) for n in range(501)] == newton
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_x_power_mod_matches_repeated_multiplication(r):
+    for family in (1, 2, 3):
+        for coeffs, _ in frobenius_charpoly(family, r).factors:
+            d = len(coeffs) - 1
+            power = [0] * (d - 1) + [1]  # X^0 mod P, d coefficients
+            for e in range(101):
+                assert _x_power_mod(e, coeffs) == power, (coeffs, e)
+                power = power + [0]  # times X, then X^d = -(c_1 X^(d-1) + ...)
+                lead = power.pop(0)
+                power = [a - lead * c for a, c in zip(power, coeffs[1:])]
 
 
 def test_power_sums():

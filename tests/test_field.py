@@ -218,7 +218,7 @@ def test_lazy_tables_under_concurrent_first_use(m):
 def test_squaring_is_additive_exhaustive(m):
     # a degree-1 ANF sweep reproduces squaring everywhere iff it is additive
     ctx = build_context(m)
-    _, chunks = sweep_chunks(m, ctx.sqr, 1, spot_check=0)
+    _, chunks = sweep_chunks(m, ctx.sqr, 1)
     arr = np.concatenate([v.copy() for v in chunks])
     for x in range(1 << m):
         assert int(arr[x]) == ctx.sqr(x)
