@@ -34,6 +34,13 @@ from .quadforms import (cubic_root_census, cubic_root_count, radical_report,
 from .residues import CURVE, PARITY_COLUMNS, ResidueTable, check_rn
 
 
+def check_family(family: int) -> int:
+    """The one check of a family number: ValueError unless it is 1, 2 or 3."""
+    if family not in (1, 2, 3):
+        raise ValueError("family must be 1, 2 or 3")
+    return family
+
+
 @dataclass(frozen=True)
 class CurveSpec:
     """family 1..3; alpha None for the combined curve over F_{2^r}, or a
@@ -43,29 +50,33 @@ class CurveSpec:
     alpha: int = None
 
     def __post_init__(self):
-        if self.family not in (1, 2, 3):
-            raise ValueError("family must be 1, 2 or 3")
+        check_family(self.family)
+        check_rn(self.r)
         if self.alpha is not None and not 1 <= self.alpha < (1 << self.r):
             raise ValueError("twist parameter must be a nonzero element "
                              "of F_{2^r}")
 
 
+def family_terms(family: int, r: int) -> tuple:
+    """Exponent pairs (a, b) with f_family(x) = sum of x^(2^a + 2^b):
+    x^(q+1) + x^2 for C1, x^(2q+1) + x^(q+2) for C2, both for C3."""
+    c1 = ((r, 0), (0, 0))
+    c2 = ((r + 1, 0), (r, 1))
+    return {1: c1, 2: c2, 3: c1 + c2}[check_family(family)]
+
+
 def curve_rhs(spec: CurveSpec, ctx: FieldContext):
-    """Callable x -> f_i(x) evaluated in ctx (an extension of F_{2^r})."""
-    r = spec.r
+    """Callable x -> f_i(x) evaluated in ctx (an extension of F_{2^r}), from
+    `family_terms`; a term with a = b is the linear x^(2^(a+1))."""
+    terms = family_terms(spec.family, spec.r)
+    frob = ctx.frobenius
 
-    def q1(x):
-        return ctx.mul(ctx.frobenius(x, r), x) ^ ctx.sqr(x)
-
-    def q2(x):
-        xq = ctx.frobenius(x, r)
-        return ctx.mul(ctx.frobenius(ctx.sqr(x), r), x) ^ ctx.mul(xq, ctx.sqr(x))
-
-    if spec.family == 1:
-        return q1
-    if spec.family == 2:
-        return q2
-    return lambda x: q1(x) ^ q2(x)
+    def rhs(x):
+        v = 0
+        for a, b in terms:
+            v ^= frob(x, a + 1) if a == b else ctx.mul(frob(x, a), frob(x, b))
+        return v
+    return rhs
 
 
 def genus(spec: CurveSpec) -> int:
@@ -204,9 +215,7 @@ COMBINED_TABLES = {1: _C1, 2: _C2, 3: _C3}
 
 def closed_count_combined(family: int, r: int, n: int) -> int:
     """Point count of C_family over F_{2^(rn)} from its residue table."""
-    if family not in COMBINED_TABLES:
-        raise ValueError("family must be 1, 2 or 3")
-    return COMBINED_TABLES[family].count(r, n)
+    return COMBINED_TABLES[check_family(family)].count(r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +225,7 @@ def alpha_class(family: int, r: int, alpha: int) -> str:
     """Branch selector for a twist: C1 has a single class; C2 splits on
     whether alpha is a cube (always, for odd r); C3 splits on how many roots
     x^3 + x + 1/alpha has in F_{2^r}."""
+    check_family(family)
     ctx = build_context(r)
     if not 1 <= alpha < ctx.order:
         raise ValueError("alpha must be a nonzero element of F_{2^r}")
@@ -323,6 +333,7 @@ def closed_count_twist(family: int, r: int, n: int, alpha: int = 1,
     n = 2 mod 8 (forced by the congruence #C(F_{q^n}) = #C(F_{q^(n/p)})
     mod p for odd primes p | n, and confirmed by the exhaustive counts).
     """
+    check_family(family)
     if klass is None:
         klass = alpha_class(family, r, alpha)
     if (family, klass) not in TWIST_TABLES:
@@ -337,6 +348,7 @@ def twist_classes(family: int, r: int) -> list:
     the field: (q-1)/gcd(3, q-1) cubes for C2, the cubic root census for
     C3.  The representative is the smallest alpha of the branch for C1 and
     C2, and 1/beta for the smallest beta of the branch for C3."""
+    check_family(family)
     q = 1 << r
     if family == 1:
         return [("all", 1, q - 1)]

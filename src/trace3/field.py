@@ -48,10 +48,10 @@ class FieldContext:
     Frobenius^k, on r for the trace to F_{2^r}), never on the operands.
     There are three kernels:
 
-    - GF(2)-linear maps (squaring, Frobenius^k, relative traces) are
-      byte-sliced tables: list j maps byte j of the input to the image of
-      that byte, so a map costs one lookup per byte.  The squaring table is
-      built with the context; the others on first use.
+    - GF(2)-linear maps (squaring, Frobenius^k, relative traces, the
+      trace dual) are byte-sliced tables: list j maps byte j of the input
+      to the image of that byte, so a map costs one lookup per byte.  The
+      squaring table is built with the context; the others on first use.
     - For m <= LOG_MAX_DEGREE, `mul` adds discrete logarithms to the base
       of the smallest primitive element.  The log and antilog lists are
       built on the first `mul`.
@@ -77,6 +77,7 @@ class FieldContext:
                                   for i in range(m)])
         self._frobenius = {1: self._sqr}  # k -> tables of a -> a^(2^k)
         self._trace = {}                  # r -> tables of Tr_{m/r}
+        self._trace_dual = None           # tables of c -> (Tr(c x^j))_j
         self._exp_log = None              # (antilog, log), m <= LOG_MAX_DEGREE
         self._reduce = None               # reduction table, m > LOG_MAX_DEGREE
         self._lanes = None                # numpy (exp, log, sqr) arrays
@@ -242,6 +243,16 @@ class FieldContext:
                 raise ValueError(f"{r} does not divide {self.m}")
             tables = self._trace[r] = _byte_tables(self._trace_images(r))
         return _apply(tables, a)
+
+    def trace_dual(self, c: int) -> int:
+        """Bit j is Tr(c x^j): GF(2)-linear in c and Hankel (Tr(x^i x^j)
+        depends on i + j), built on first use from Tr(x^k), k < 2m - 1."""
+        if self._trace_dual is None:
+            hankel = sum(self.absolute_trace(gf2x.mod(1 << k, self.modulus)) << k
+                         for k in range(2 * self.m - 1))
+            self._trace_dual = _byte_tables(
+                [hankel >> i & self.order - 1 for i in range(self.m)])
+        return _apply(self._trace_dual, c)
 
     def is_in_subfield(self, a: int, r: int) -> bool:
         """True iff a lies in F_{2^r} inside F_{2^m}; requires r | m."""

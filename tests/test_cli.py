@@ -198,6 +198,16 @@ def test_curve_rejects_r_or_n_below_1(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: need ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("quadform", "report", "--family", "c2", "--r", "0", "--n", "3"),
+    ("curve", "count", "--family", "c3", "--r", "0", "--n", "3",
+     "--alpha", "1", "--method", "quadform"),
+], ids=["quadform-r0", "twist-r0"])
+def test_twist_commands_blame_r_below_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: need r >= 1")
+
+
 def test_curve_charpoly(capsys):
     code, out, _ = run_cli(capsys, "curve", "charpoly", "--family", "c1",
                            "--r", "1")

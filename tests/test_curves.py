@@ -17,6 +17,21 @@ from trace3.field import BudgetError, build_context
 from trace3.quadforms import count_zeros_oracle, twist_form
 
 
+@pytest.mark.parametrize("r,n", [(1, 5), (2, 3), (3, 4), (4, 2)])
+def test_curve_rhs_matches_written_polynomials(r, n):
+    # the family_terms table against the exponents as the families are
+    # written: x^(q+1) + x^2, x^(2q+1) + x^(q+2), and their sum
+    ctx = build_context(r * n)
+    q = 1 << r
+    written = {1: lambda x: ctx.pow(x, q + 1) ^ ctx.pow(x, 2),
+               2: lambda x: ctx.pow(x, 2 * q + 1) ^ ctx.pow(x, q + 2)}
+    written[3] = lambda x: written[1](x) ^ written[2](x)
+    for family in (1, 2, 3):
+        rhs = curve_rhs(CurveSpec(family, r), ctx)
+        assert [rhs(x) for x in range(ctx.order)] == [
+            written[family](x) for x in range(ctx.order)], family
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         CurveSpec(4, 1)
@@ -117,6 +132,25 @@ def test_alpha_classes():
 def test_alpha_class_rejects_alpha_outside_the_field(family, alpha):
     with pytest.raises(ValueError):
         alpha_class(family, 2, alpha)
+
+
+@pytest.mark.parametrize("family", [0, 4, 7])
+def test_every_family_entry_rejects_a_family_outside_1_to_3(family):
+    # twist_classes and alpha_class used to treat any such family as C3
+    for call in (lambda: twist_classes(family, 3),
+                 lambda: alpha_class(family, 2, 1),
+                 lambda: closed_count_twist(family, 2, 3, 1),
+                 lambda: closed_count_combined(family, 2, 3),
+                 lambda: CurveSpec(family, 2, 1)):
+        with pytest.raises(ValueError, match="family must be 1, 2 or 3"):
+            call()
+
+
+def test_spec_checks_r_before_alpha():
+    with pytest.raises(ValueError, match="need r >= 1"):
+        CurveSpec(2, 0, 1)
+    with pytest.raises(ValueError, match="need r >= 1"):
+        CurveSpec(1, 0)
 
 
 @pytest.mark.parametrize("r", range(1, 11))

@@ -135,6 +135,31 @@ def test_table_kernels_match_mulmod(m):
         assert ctx.absolute_trace(a) == ctx.relative_trace(a, 1)
 
 
+@pytest.mark.parametrize("m", range(1, MAX_DEGREE + 1))
+def test_trace_dual_matches_trace_of_products(m):
+    """Bit j of trace_dual(c) is the absolute trace of c * x^j, on a fresh
+    context: every c for m <= 8, else 2000 random c.  The reference forms
+    the product mul(c, 1 << j) by shifting c and reducing by the modulus."""
+    ctx = FieldContext(m)
+    if m <= 8:
+        cs = range(1 << m)
+    else:
+        rng = random.Random(m)
+        cs = [rng.randrange(1 << m) for _ in range(2000)]
+    for c in cs:
+        expected = 0
+        x = c
+        for j in range(m):
+            expected |= ctx.absolute_trace(x) << j
+            x <<= 1
+            if x >> m:
+                x ^= ctx.modulus
+        assert ctx.trace_dual(c) == expected, c
+    assert ctx.trace_dual(1 << (m - 1)) == sum(
+        ctx.absolute_trace(ctx.mul(1 << (m - 1), 1 << j)) << j
+        for j in range(m))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 16])
 def test_lane_tables_match_mul(m):
     """exp[log a + log b] = a * b for all a, b (zero included) and
@@ -180,6 +205,7 @@ def test_kernels_do_not_call_mulmod(monkeypatch):
         ctx.sqr(a)
         ctx.frobenius(a, ctx.m + 3)
         ctx.relative_trace(a, 1)
+        ctx.trace_dual(a)
         ctx.inv(a)
 
 

@@ -1,8 +1,10 @@
+import dataclasses
+
 import pytest
 
 from trace3.curves import alpha_class, closed_count_twist, twist_classes
 from trace3.field import build_context
-from trace3.quadforms import (bilinear_matrix, count_zeros_oracle,
+from trace3.quadforms import (QuadForm, bilinear_matrix, count_zeros_oracle,
                               cubic_root_census, cubic_root_census_expected,
                               cubic_root_count, expected_radical_dimension,
                               radical_report, twist_form)
@@ -29,10 +31,46 @@ def test_bilinear_matrix_properties():
         assert bin(acc & y).count("1") & 1 == b
 
 
+def polarization_matrix(qf):
+    """Reference rows of B from m^2/2 evaluations of Q at e_i + e_j."""
+    m = qf.m
+    q_basis = [qf.value(1 << i) for i in range(m)]
+    rows = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            b = qf.value((1 << i) ^ (1 << j)) ^ q_basis[i] ^ q_basis[j]
+            if b:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_adjoint_rows_match_polarization(family):
+    """Rows from the adjoint map equal the polarization of Q for every
+    r <= 4, every twist class and every rn <= 32, and at rn = 48, 64."""
+    for r in range(1, 5):
+        ns = [n for n in range(1, 65) if r * n <= 32 or r * n in (48, 64)]
+        for klass, alpha, _ in twist_classes(family, r):
+            for n in ns:
+                qf = twist_form(family, r, n, alpha)
+                assert bilinear_matrix(qf) == polarization_matrix(qf), \
+                    (family, r, n, klass)
+
+
+@pytest.mark.parametrize("family,other", [(1, 2), (2, 3), (3, 1)])
+def test_adjoint_of_another_family_trips_the_spot_check(family, other):
+    qf = twist_form(family, 2, 6)
+    wrong = dataclasses.replace(qf, adjoint=twist_form(other, 2, 6).adjoint)
+    with pytest.raises(AssertionError, match="polarization of Q"):
+        bilinear_matrix(wrong)
+    with pytest.raises(AssertionError, match="polarization of Q"):
+        radical_report(wrong)
+
+
 def test_bilinear_matrix_zero_form():
-    from trace3.quadforms import QuadForm
     ctx = build_context(4)
-    qf = QuadForm(1, 1, 1, 4, ctx, lambda x: 0)
+    qf = QuadForm(1, 1, 1, 4, ctx, lambda x: 0, lambda x: 0)
     assert bilinear_matrix(qf) == [0, 0, 0, 0]
     rep = radical_report(qf)
     assert rep.w == rep.w0 == 4 and rep.rank == 0
