@@ -39,11 +39,11 @@ MAX_SWEEP_BITS = 32
 
 
 def check_sweep(m: int, cap: int = None):
-    """Refuse a sweep of 2^m inputs: BudgetError beyond the enumeration cap
-    (none for None), then ValueError beyond 2^MAX_SWEEP_BITS inputs.
+    """Refuse a sweep or table of 2^m elements: BudgetError beyond the
+    enumeration cap (none for None), then ValueError beyond 2^MAX_SWEEP_BITS.
     Callers that build tables of the field check before doing so."""
     if cap is not None and m > cap:
-        raise BudgetError(f"rn = {m} exceeds enumeration cap {cap}")
+        raise BudgetError(f"2^{m} elements exceed enumeration cap 2^{cap}")
     if m > MAX_SWEEP_BITS:
         raise ValueError(f"sweeps cover at most 2^{MAX_SWEEP_BITS} inputs; "
                          f"m = {m} > {MAX_SWEEP_BITS}")

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import closedforms as cf
-from . import curves, fourier, quadforms, traces, verify
+from . import anf, curves, fourier, quadforms, traces, verify
 from .field import DEFAULT_ENUM_CAP, BudgetError
 
 ENV_BUDGET = "TRACE3_MAX_BITS"
@@ -115,6 +115,10 @@ def cmd_curve_count(args):
         other = "twists" if args.alpha is None else "combined curves"
         raise ValueError(f"{args.method} route covers {other} only")
     methods = list(routes) if args.method == "all" else [args.method]
+    if args.alpha is not None and (family == 3 or "quadform" in methods):
+        # the branch of a C3 twist comes from the cubic census of F_{2^r},
+        # the twist form embeds F_{2^r}: both enumerate it
+        anf.check_sweep(args.r, args.max_bits)
     counts = {m: routes[m](spec, args.n, args.max_bits) for m in methods}
     agree = len(set(counts.values())) == 1
     g = curves.genus(spec)
@@ -147,6 +151,7 @@ def cmd_curve_charpoly(args):
 
 def cmd_quadform_report(args):
     family = _FAMILY[args.family]
+    anf.check_sweep(args.r, args.max_bits)  # the embedding enumerates F_{2^r}
     qf = quadforms.twist_form(family, args.r, args.n, args.alpha)
     rep = quadforms.radical_report(qf)
     _emit({

@@ -15,17 +15,20 @@ DEFAULT_ENUM_CAP = 26
 LOG_MAX_DEGREE = 16  # mul by log/antilog lists up to here, windowed above
 
 
+def _span(images: list) -> list:
+    """Entry a: the image of a under the map sending 1 << i to images[i],
+    for every a < 2^len(images)."""
+    table = [0]
+    for image in images:
+        table += [v ^ image for v in table]
+    return table
+
+
 def _byte_tables(images: list) -> list:
-    """Byte-sliced table of the GF(2)-linear map sending 1 << i to images[i]:
-    list j maps byte j of an input to the image of that byte (the last list
-    is shorter when len(images) is not a multiple of 8)."""
-    tables = []
-    for lo in range(0, len(images), 8):
-        table = [0]
-        for image in images[lo:lo + 8]:
-            table += [v ^ image for v in table]
-        tables.append(table)
-    return tables
+    """Byte-sliced table of the map sending 1 << i to images[i]: list j is
+    the `_span` of images 8j..8j+7, mapping byte j of an input to its image
+    (the last list is shorter when len(images) is not a multiple of 8)."""
+    return [_span(images[lo:lo + 8]) for lo in range(0, len(images), 8)]
 
 
 def _apply(tables: list, a: int) -> int:
@@ -35,6 +38,29 @@ def _apply(tables: list, a: int) -> int:
         r ^= table[a & 0xFF]
         a >>= 8
     return r
+
+
+def kernel_basis(images: list) -> tuple:
+    """(kernel, complement) of the map sending 1 << i to images[i], by
+    bit-packed elimination in the order of i: kernel is a basis of the null
+    space; complement holds each 1 << i whose image is independent of the
+    images before it, so their images form a basis of the image."""
+    pivots = {}  # leading bit -> (reduced image, its preimage)
+    kernel, complement = [], []
+    for i, image in enumerate(images):
+        pre = 1 << i
+        while image:
+            b = image.bit_length() - 1
+            if b not in pivots:
+                pivots[b] = (image, pre)
+                complement.append(1 << i)
+                break
+            pivot_image, pivot_pre = pivots[b]
+            image ^= pivot_image
+            pre ^= pivot_pre
+        else:
+            kernel.append(pre)
+    return kernel, complement
 
 
 class BudgetError(ValueError):
@@ -49,9 +75,11 @@ class FieldContext:
     There are three kernels:
 
     - GF(2)-linear maps (squaring, Frobenius^k, relative traces, the
-      trace dual) are byte-sliced tables: list j maps byte j of the input
-      to the image of that byte, so a map costs one lookup per byte.  The
-      squaring table is built with the context; the others on first use.
+      trace dual) are byte-sliced tables (`_byte_tables`), so a map costs
+      one lookup per byte.  The squaring table is built with the context;
+      the others on first use.  A new Frobenius^k is composed from
+      Frobenius^(k - k//2) and Frobenius^(k//2), built the same way, so
+      it costs O(m log k) lookups.
     - For m <= LOG_MAX_DEGREE, `mul` adds discrete logarithms to the base
       of the smallest primitive element.  The log and antilog lists are
       built on the first `mul`.
@@ -60,11 +88,16 @@ class FieldContext:
       8 bits at a time with a table of the multiples of the modulus by
       t * x^m, t < 256, built on the first `mul`.
 
+    The subfield F_{2^r} is the kernel of a -> a^(2^r) + a by
+    `kernel_basis`, the elimination that also gives the radicals in
+    `quadforms`; its embedding sends the canonical generator of F_{2^r} to
+    the smallest root of the degree-r canonical modulus.
+
     `lane_tables` gives numpy copies of the log/antilog lists and of the
     squaring map, for products of whole arrays at once (m <= LOG_MAX_DEGREE).
 
-    A lazily built table is stored only once complete, so concurrent
-    callers can at worst build the same table twice.
+    A lazily built table is None until its `_build_` method stores it
+    complete, so concurrent callers can at worst build the same table twice.
     """
 
     def __init__(self, m: int):
@@ -81,13 +114,13 @@ class FieldContext:
         self._exp_log = None              # (antilog, log), m <= LOG_MAX_DEGREE
         self._reduce = None               # reduction table, m > LOG_MAX_DEGREE
         self._lanes = None                # numpy (exp, log, sqr) arrays
+        self._subfields = {}              # r -> subfield_elements(r)
+        self._embeddings = {}             # r -> embed_subfield(r)
         # high-half bytes of a product of degree <= 2m - 2, top one first
         self._reduce_shifts = tuple(range(8 * ((m - 2) // 8), -1, -8))
         # bit i set iff the absolute trace of x^i is 1
-        self._trace_mask = 0
-        for i, t in enumerate(self._trace_images(1)):
-            self._trace_mask |= t << i
-        self._subfield_cache = {}
+        self._trace_mask = sum(t << i for i, t in
+                               enumerate(self._trace_images(1)))
 
     def __repr__(self):
         return f"FieldContext(m={self.m}, modulus={self.modulus:#x})"
@@ -135,9 +168,8 @@ class FieldContext:
     def _build_reduce(self) -> list:
         """Entry t: the multiple of the modulus whose bits from x^m up are t."""
         m, f = self.m, self.modulus
-        table = _byte_tables([(1 << (m + i)) ^ gf2x.mod(1 << (m + i), f)
-                              for i in range(8)])[0]
-        self._reduce = table
+        self._reduce = table = _span(
+            [(1 << (m + i)) ^ gf2x.mod(1 << (m + i), f) for i in range(8)])
         return table
 
     def _build_exp_log(self) -> tuple:
@@ -156,8 +188,7 @@ class FieldContext:
         log = [0] * self.order
         for k, x in enumerate(exp):
             log[x] = k
-        tables = (exp + exp, log)
-        self._exp_log = tables
+        self._exp_log = tables = (exp + exp, log)
         return tables
 
     def lane_tables(self) -> tuple:
@@ -167,8 +198,9 @@ class FieldContext:
         exp is the doubled antilog list followed by zeros, and log[0] points
         past the antilog list, so a sum with log[0] lands in the zeros.
         Built on first use."""
-        if self._lanes is not None:
-            return self._lanes
+        return self._lanes or self._build_lanes()
+
+    def _build_lanes(self) -> tuple:
         if self.m > LOG_MAX_DEGREE:
             raise ValueError(f"array tables need m <= {LOG_MAX_DEGREE}")
         exp, log = self._exp_log or self._build_exp_log()
@@ -180,8 +212,7 @@ class FieldContext:
         log_np[0] = zero
         sqr_np = np.array([self.sqr(a) for a in range(self.order)],
                           dtype=dtype)
-        tables = (exp_np, log_np, sqr_np)
-        self._lanes = tables
+        self._lanes = tables = (exp_np, log_np, sqr_np)
         return tables
 
     def sqr(self, a: int) -> int:
@@ -208,16 +239,18 @@ class FieldContext:
         k %= self.m
         if not k:
             return a
+        return _apply(self._frobenius.get(k) or self._frobenius_tables(k), a)
+
+    def _frobenius_tables(self, k: int) -> list:
+        """Tables of a -> a^(2^k), 0 < k < m: Frobenius^(k - k//2), then
+        Frobenius^(k//2), each built the same way first if new."""
         tables = self._frobenius.get(k)
         if tables is None:
-            images = []
-            for i in range(self.m):
-                x = 1 << i
-                for _ in range(k):
-                    x = _apply(self._sqr, x)
-                images.append(x)
-            tables = self._frobenius[k] = _byte_tables(images)
-        return _apply(tables, a)
+            first = self._frobenius_tables(k - k // 2)
+            second = self._frobenius_tables(k // 2)
+            tables = self._frobenius[k] = _byte_tables(
+                [_apply(second, _apply(first, 1 << i)) for i in range(self.m)])
+        return tables
 
     def _trace_images(self, r: int) -> list:
         """Tr_{m/r}(x^i) for i < m; requires r | m."""
@@ -247,12 +280,14 @@ class FieldContext:
     def trace_dual(self, c: int) -> int:
         """Bit j is Tr(c x^j): GF(2)-linear in c and Hankel (Tr(x^i x^j)
         depends on i + j), built on first use from Tr(x^k), k < 2m - 1."""
-        if self._trace_dual is None:
-            hankel = sum(self.absolute_trace(gf2x.mod(1 << k, self.modulus)) << k
-                         for k in range(2 * self.m - 1))
-            self._trace_dual = _byte_tables(
-                [hankel >> i & self.order - 1 for i in range(self.m)])
-        return _apply(self._trace_dual, c)
+        return _apply(self._trace_dual or self._build_trace_dual(), c)
+
+    def _build_trace_dual(self) -> list:
+        hankel = sum(self.absolute_trace(gf2x.mod(1 << k, self.modulus)) << k
+                     for k in range(2 * self.m - 1))
+        self._trace_dual = tables = _byte_tables(
+            [hankel >> i & self.order - 1 for i in range(self.m)])
+        return tables
 
     def is_in_subfield(self, a: int, r: int) -> bool:
         """True iff a lies in F_{2^r} inside F_{2^m}; requires r | m."""
@@ -261,21 +296,19 @@ class FieldContext:
         return self.frobenius(a, r) == a
 
     def subfield_elements(self, r: int) -> list:
-        """All 2^r elements of F_{2^r} inside this field, ascending."""
-        if self.m % r:
-            raise ValueError(f"{r} does not divide {self.m}")
-        if r in self._subfield_cache:
-            return self._subfield_cache[r]
-        if r == self.m:
-            out = list(range(self.order))
-        else:
-            basis = self._frobenius_fixed_basis(r)
-            out = [0]
-            for v in basis:
-                out += [x ^ v for x in out]
-            out.sort()
-        self._subfield_cache[r] = out
-        return out
+        """All 2^r elements of F_{2^r} inside this field, ascending: the
+        span of the kernel of a -> a^(2^r) + a."""
+        sub = self._subfields.get(r)
+        if sub is None:
+            if self.m % r:
+                raise ValueError(f"{r} does not divide {self.m}")
+            kernel, _ = kernel_basis([self.frobenius(1 << i, r) ^ 1 << i
+                                      for i in range(self.m)])
+            assert len(kernel) == r, (self.m, r, len(kernel))
+            sub = _span(kernel)
+            sub.sort()
+            self._subfields[r] = sub
+        return sub
 
     def subfield_code(self, r: int):
         """v -> index of v in `subfield_elements(r)`: the bits of v at the
@@ -299,61 +332,26 @@ class FieldContext:
 
         The canonical generator of F_{2^r} is sent to the smallest root of
         the degree-r canonical modulus inside this field, making the
-        embedding deterministic.
+        embedding deterministic: the first root, by Horner, in the
+        ascending `subfield_elements(r)`.  For r = m that root is x itself
+        and the table is the identity.
         """
-        if self.m % r:
-            raise ValueError(f"{r} does not divide {self.m}")
-        key = ("embed", r)
-        if key in self._subfield_cache:
-            return self._subfield_cache[key]
-        if r == self.m:  # same canonical modulus on both sides
-            table = list(range(self.order))
-            self._subfield_cache[key] = table
-            return table
-        small_mod = gf2x.canonical_modulus(r)
-        root = None
-        for z in self.subfield_elements(r):
-            acc = 0
-            pw = 1
-            for i in range(r + 1):
-                if (small_mod >> i) & 1:
-                    acc ^= pw
-                pw = self.mul(pw, z)
-            if acc == 0 and (root is None or z < root):
-                root = z
-        assert root is not None
-        table = [0] * (1 << r)
-        powers = [1]
-        for _ in range(r - 1):
-            powers.append(self.mul(powers[-1], root))
-        for a in range(1 << r):
-            v = 0
-            for i in range(r):
-                if (a >> i) & 1:
-                    v ^= powers[i]
-            table[a] = v
-        self._subfield_cache[key] = table
-        return table
-
-    def _frobenius_fixed_basis(self, r: int) -> list:
-        """GF(2)-basis of ker(a -> a^(2^r) + a), bit-packed elimination."""
-        pivots = {}
-        basis = []
-        for i in range(self.m):
-            img = self.frobenius(1 << i, r) ^ (1 << i)
-            pre = 1 << i
-            while img:
-                b = img.bit_length() - 1
-                if b not in pivots:
-                    pivots[b] = (img, pre)
+        table = self._embeddings.get(r)
+        if table is None:
+            sub = self.subfield_elements(r)
+            small_mod = gf2x.canonical_modulus(r)
+            for root in sub:
+                value = 1
+                for i in range(r - 1, -1, -1):
+                    value = self.mul(value, root) ^ (small_mod >> i & 1)
+                if not value:
                     break
-                pimg, ppre = pivots[b]
-                img ^= pimg
-                pre ^= ppre
-            else:
-                basis.append(pre)
-        assert len(basis) == r, (self.m, r, len(basis))
-        return basis
+            assert not value, (self.m, r)
+            powers = [1]
+            for _ in range(r - 1):
+                powers.append(self.mul(powers[-1], root))
+            table = self._embeddings[r] = _span(powers)
+        return table
 
 
 _CTX_CACHE = {}

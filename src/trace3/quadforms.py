@@ -3,7 +3,9 @@ radical and singular radical, rank, and the Arf-invariant route to the zero
 count, plus the census of cubics x^3 + x + beta by number of roots.
 
 Vectors over GF(2) are bit-packed ints; the m x m bilinear matrix is a list
-of m row ints.  f_i is a sum of terms x^(2^a + 2^b) (`curves.family_terms`),
+of m row ints, the images of the basis vectors under the symmetric map
+u -> B u, so `field` evaluates it (`_byte_tables`) and gives its radical
+(`kernel_basis`).  f_i is a sum of terms x^(2^a + 2^b) (`curves.family_terms`),
 so Q(x) = Tr(alpha f_i(x)) has polarization B(x, y) = Tr(y L(x)) with the
 linear adjoint L(x) = sum over a != b of (alpha x^(2^a))^(2^-b) +
 (alpha x^(2^b))^(2^-a).  Row i of B is `FieldContext.trace_dual(L(x^i))`:
@@ -13,11 +15,11 @@ polarization of Q at 16 random pairs.
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import xor
+from functools import lru_cache
 
 from . import anf
-from .field import DEFAULT_ENUM_CAP, FieldContext, build_context
+from .field import (DEFAULT_ENUM_CAP, FieldContext, _apply, _byte_tables,
+                    build_context, kernel_basis)
 
 
 @dataclass
@@ -68,40 +70,15 @@ def bilinear_matrix(qf: QuadForm) -> list:
     of Q at 16 random pairs."""
     m = qf.m
     rows = [qf.ctx.trace_dual(qf.adjoint(1 << i)) for i in range(m)]
+    image = _byte_tables(rows)
     rng = random.Random(0xB1F0 ^ m)
     for _ in range(16):
         x, y = rng.randrange(1 << m), rng.randrange(1 << m)
         b = qf.value(x ^ y) ^ qf.value(x) ^ qf.value(y)
-        if (_image(rows, x) & y).bit_count() & 1 != b:
+        if (_apply(image, x) & y).bit_count() & 1 != b:
             raise AssertionError("adjoint map disagrees with the "
                                  f"polarization of Q at ({x:#x}, {y:#x})")
     return rows
-
-
-def _kernel_and_pivots(rows):
-    """Kernel basis and pivot preimages of the symmetric bit matrix."""
-    pivots = {}
-    kernel = []
-    complement = []
-    for i in range(len(rows)):
-        img, pre = rows[i], 1 << i
-        while img:
-            b = img.bit_length() - 1
-            if b not in pivots:
-                pivots[b] = (img, pre)
-                complement.append(1 << i)
-                break
-            pimg, ppre = pivots[b]
-            img ^= pimg
-            pre ^= ppre
-        else:
-            kernel.append(pre)
-    return kernel, complement
-
-
-def _image(rows, u: int) -> int:
-    """B u: the xor of the rows at the bits of u."""
-    return reduce(xor, (row for i, row in enumerate(rows) if u >> i & 1), 0)
 
 
 @dataclass
@@ -135,7 +112,7 @@ def radical_report(qf: QuadForm) -> RadicalReport:
     """
     m = qf.m
     rows = bilinear_matrix(qf)
-    kernel, complement = _kernel_and_pivots(rows)
+    kernel, complement = kernel_basis(rows)
     w = len(kernel)
     assert (m - w) % 2 == 0, "symplectic rank must be even"
     onto = any(qf.value(v) for v in kernel)
@@ -145,28 +122,28 @@ def radical_report(qf: QuadForm) -> RadicalReport:
         sign = 0
         zeros = 1 << (m - 1)
     else:
-        arf = _arf_invariant(qf, rows, complement)
+        arf = _arf_invariant(qf, _byte_tables(rows), complement)
         sign = -1 if arf else 1
         zeros = (1 << (m - 1)) + sign * (1 << ((m - 2 + w) // 2))
     return RadicalReport(qf.family, qf.alpha, qf.r, qf.n,
                          m, w, w0, rank, sign, zeros)
 
 
-def _arf_invariant(qf: QuadForm, rows, complement) -> int:
+def _arf_invariant(qf: QuadForm, image, complement) -> int:
     """Sum of Q(a)Q(b) over a greedy symplectic basis of the complement of
     the radical (Q descends there since it vanishes on the radical).  B is
     symmetric, so B(w, u) is the parity of (B u) & w; the images B u and
-    B v are formed once per pair."""
+    B v (`_apply` of the byte tables `image`) are formed once per pair."""
     vecs = list(complement)
     arf = 0
     while vecs:
         u, rest = vecs[0], vecs[1:]
-        img_u = _image(rows, u)
+        img_u = _apply(image, u)
         partner = next((idx for idx, v in enumerate(rest)
                         if (img_u & v).bit_count() & 1), None)
         assert partner is not None, "complement of radical is degenerate"
         v = rest.pop(partner)
-        img_v = _image(rows, v)
+        img_v = _apply(image, v)
         arf ^= qf.value(u) & qf.value(v)
         vecs = []
         for w_vec in rest:

@@ -109,6 +109,35 @@ def test_sweep_size_checked_before_subfield_tables(argv):
                            "m = 33 > 32\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("quadform", "report", "--family", "c1", "--r", "64", "--n", "1"),
+    ("quadform", "report", "--family", "c2", "--r", "40", "--n", "1"),
+    ("quadform", "report", "--family", "c3", "--r", "28", "--n", "1"),
+    ("curve", "count", "--family", "c1", "--r", "30", "--n", "1",
+     "--alpha", "1", "--method", "quadform"),
+    ("curve", "count", "--family", "c3", "--r", "30", "--n", "1",
+     "--alpha", "1", "--method", "table"),
+])
+def test_twist_field_beyond_budget_is_refused(argv):
+    # the embedding of alpha and the cubic census of C3 enumerate F_{2^r}:
+    # r beyond --max-bits is a budget error before either table is built
+    proc = run_capped(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"budget error: 2^{argv[argv.index('--r') + 1]} "
+                           f"elements exceed enumeration cap 2^26\n")
+
+
+def test_twist_table_route_of_c1_needs_no_field_enumeration():
+    proc = run_capped("curve", "count", "--family", "c1", "--r", "30",
+                      "--n", "1", "--alpha", "1", "--method", "table")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "agree": True, "alpha": 1, "alpha_class": "all",
+        "counts": {"table": "2147483649"}, "family": "c1",
+        "hasse_weil": True, "n": 1, "r": 30}
+
+
 def test_uncaught_exception_exits_3():
     # sweeps hold one chunk, but a census over F_{2^10} at n = 3 has 2^30
     # codes: within --max-bits 40, its histogram is not within the cap

@@ -5,9 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from trace3 import gf2x
+from trace3 import field, gf2x
 from trace3.anf import sweep_chunks
-from trace3.field import MAX_DEGREE, FieldContext, build_context
+from trace3.field import MAX_DEGREE, FieldContext, build_context, kernel_basis
 
 
 def naive_poly_mul(a, b):
@@ -250,6 +250,25 @@ def test_squaring_is_additive_exhaustive(m):
         assert int(arr[x]) == ctx.sqr(x)
 
 
+def test_frobenius_power_is_composed_from_built_tables(monkeypatch):
+    # a fresh Frobenius^63 at m = 64 takes at most 4 m ceil(log2 m) table
+    # lookups; 63 squarings of each of the 64 basis images take 4032
+    ctx = FieldContext(64)
+    a = 0x0123456789ABCDEF
+    expected = gf2x.frobenius_power(a, 63, ctx.modulus)
+    calls = 0
+    apply = field._apply
+
+    def counting(tables, x):
+        nonlocal calls
+        calls += 1
+        return apply(tables, x)
+
+    monkeypatch.setattr(field, "_apply", counting)
+    assert ctx.frobenius(a, 63) == expected
+    assert calls <= 4 * 64 * 6
+
+
 def test_frobenius_iter():
     ctx = build_context(2)
     omega = 0b10  # root of x^2 + x + 1
@@ -307,13 +326,103 @@ def test_subfield_elements_form_a_field(m, r):
         assert a ^ b in subset and ctx.mul(a, b) in subset
 
 
-@pytest.mark.parametrize("m,r", [(4, 2), (6, 2), (6, 3), (12, 3), (20, 4)])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_subfield_elements_are_the_fixed_points(m):
+    ctx = FieldContext(m)
+    for r in (r for r in range(1, m + 1) if m % r == 0):
+        assert ctx.subfield_elements(r) == [
+            a for a in range(ctx.order)
+            if gf2x.frobenius_power(a, r, ctx.modulus) == a], r
+
+
+def _images_of(images, v):
+    """The xor of images[i] over the bits i of v."""
+    out = 0
+    for i, image in enumerate(images):
+        if v >> i & 1:
+            out ^= image
+    return out
+
+
+def _rank(vectors):
+    """GF(2) rank by a xor basis kept in descending order, each new vector
+    reduced by taking the smaller of v and v ^ b for every basis b."""
+    basis = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
+def test_kernel_basis_on_random_maps():
+    rng = random.Random(0x4E7)
+    for m in range(1, MAX_DEGREE + 1):
+        for _ in range(6):
+            gens = [rng.getrandbits(m) for _ in range(rng.randint(0, m))]
+            images = [_images_of(gens, rng.getrandbits(len(gens)))
+                      for _ in range(m)]
+            kernel, complement = kernel_basis(images)
+            assert len(kernel) + len(complement) == m
+            assert all(_images_of(images, v) == 0 for v in kernel)
+            assert _rank(kernel) == len(kernel)
+            assert _rank([_images_of(images, u) for u in complement]) == len(
+                complement)
+
+
+def _embed_by_scan(big, r):
+    """Reference embedding: the powers of the smallest root, over every
+    element of the subfield, of the degree-r canonical modulus."""
+    small_mod = gf2x.canonical_modulus(r)
+
+    def value(z):
+        acc, power = 0, 1
+        for i in range(r + 1):
+            if small_mod >> i & 1:
+                acc ^= power
+            power = big.mul(power, z)
+        return acc
+    root = min(z for z in big.subfield_elements(r) if value(z) == 0)
+    powers = [big.pow(root, i) for i in range(r)]
+    return [_images_of(powers, a) for a in range(1 << r)]
+
+
+@pytest.mark.parametrize("m,r", [(m, r) for m in range(1, 17)
+                                 for r in range(1, m + 1) if m % r == 0]
+                         + [(24, 12)])
+def test_embed_subfield_matches_scan_of_every_element(m, r):
+    assert FieldContext(m).embed_subfield(r) == _embed_by_scan(
+        build_context(m), r)
+
+
+def test_embed_subfield_stops_at_the_first_root(monkeypatch):
+    # at (48, 16), scanning every element takes 17 products each, 1.1e6
+    ctx = FieldContext(48)
+    calls = 0
+    mul = FieldContext.mul
+
+    def counting(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldContext, "mul", counting)
+    ctx.embed_subfield(16)
+    assert calls <= 200_000
+
+
+@pytest.mark.parametrize("m,r", [(4, 2), (6, 2), (6, 3), (12, 3), (20, 4),
+                                 (1, 1), (5, 5), (8, 8)])
 def test_embed_subfield_is_homomorphism(m, r):
     big = build_context(m)
     small = build_context(r)
     emb = big.embed_subfield(r)
     assert emb[0] == 0 and emb[1] == 1
     assert sorted(emb) == big.subfield_elements(r)
+    if r == m:  # the same canonical modulus on both sides
+        assert emb == list(range(big.order))
     rng = random.Random(m * 7 + r)
     for _ in range(60):
         a, b = rng.randrange(1 << r), rng.randrange(1 << r)
