@@ -48,10 +48,17 @@ def cmd_count_traces(args):
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["t1_bits", "t2_bits", "t3_bits", "count"])
         writer.writerows(census.rows())
-    else:
-        _emit({"r": args.r, "n": args.n, "which": args.which,
-               "total": str(census.total),
-               "rows": traces.census_rows_json(census)})
+    else:  # `_emit`'s bytes, a row at a time; a census has >= 1 row
+        head, tail = json.dumps(
+            {"r": args.r, "n": args.n, "which": args.which,
+             "total": str(census.total), "rows": [None]},
+            indent=2, sort_keys=True).split("    null")
+        rows = ('    {{\n      "count": "{3}",\n      "t1_bits": {0},\n      '
+                '"t2_bits": {1},\n      "t3_bits": {2}\n    }}'.format(*row)
+                for row in census.rows())
+        sys.stdout.write(head + next(rows))
+        sys.stdout.writelines(",\n" + row for row in rows)
+        print(tail)
     return 0
 
 
@@ -117,7 +124,7 @@ def cmd_curve_count(args):
     methods = list(routes) if args.method == "all" else [args.method]
     if args.alpha is not None and (family == 3 or "quadform" in methods):
         # the branch of a C3 twist comes from the cubic census of F_{2^r},
-        # the twist form embeds F_{2^r}: both enumerate it
+        # the embedding of alpha scans F_{2^r} for a root: both enumerate it
         anf.check_sweep(args.r, args.max_bits)
     counts = {m: routes[m](spec, args.n, args.max_bits) for m in methods}
     agree = len(set(counts.values())) == 1
@@ -151,7 +158,7 @@ def cmd_curve_charpoly(args):
 
 def cmd_quadform_report(args):
     family = _FAMILY[args.family]
-    anf.check_sweep(args.r, args.max_bits)  # the embedding enumerates F_{2^r}
+    anf.check_sweep(args.r, args.max_bits)  # the embedding scans F_{2^r}
     qf = quadforms.twist_form(family, args.r, args.n, args.alpha)
     rep = quadforms.radical_report(qf)
     _emit({
@@ -170,6 +177,8 @@ def cmd_fourier_analyze(args):
         for row in csv.reader(handle):
             if not row or not row[0].strip().lstrip("-").isdigit():
                 continue  # header or blank
+            if len(row) < 2:
+                raise ValueError(f"data row {row} needs columns n and f(n)")
             rows.append((int(row[0]), int(row[1])))
     rows.sort()
     if not rows:
@@ -179,6 +188,8 @@ def cmd_fourier_analyze(args):
         raise ValueError("input must cover consecutive n")
     candidates = (tuple(int(p) for p in args.period_candidates.split(","))
                   if args.period_candidates else fourier.DEFAULT_PERIOD_CANDIDATES)
+    if min(candidates) < 1:
+        raise ValueError("period candidates must be positive")
     formula = fourier.analyze_sequence([f for _, f in rows], n0, args.q,
                                        candidates=candidates)
     coeffs = []

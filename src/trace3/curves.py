@@ -99,7 +99,7 @@ def count_points_oracle(spec: CurveSpec, n: int,
     trace, by a map kept apart from the Arf route's `quadforms.twist_form`.
     """
     m = spec.r * n
-    anf.check_sweep(m, cap)  # before the subfield or embedding table
+    anf.check_sweep(m, cap)
     ctx = build_context(m)
     rhs = curve_rhs(spec, ctx)
     if spec.alpha is None:
@@ -108,7 +108,7 @@ def count_points_oracle(spec: CurveSpec, n: int,
         func = lambda x: code(ctx.relative_trace(rhs(x), spec.r))
     else:
         fiber = 2
-        alpha = ctx.embed_subfield(spec.r)[spec.alpha]
+        alpha = ctx.embed_subfield(spec.r)(spec.alpha)
         func = lambda x: ctx.absolute_trace(ctx.mul(alpha, rhs(x)))
     return fiber * int(anf.sweep(m, func, 2)[0]) + 1
 

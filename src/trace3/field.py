@@ -6,6 +6,8 @@ all arithmetic goes through a FieldContext, and values from different
 contexts must not be mixed.  Addition is xor, zero is 0, one is 1.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import gf2x
@@ -42,9 +44,10 @@ def _apply(tables: list, a: int) -> int:
 
 def kernel_basis(images: list) -> tuple:
     """(kernel, complement) of the map sending 1 << i to images[i], by
-    bit-packed elimination in the order of i: kernel is a basis of the null
-    space; complement holds each 1 << i whose image is independent of the
-    images before it, so their images form a basis of the image."""
+    bit-packed elimination in the order of i: kernel is an ascending reduced
+    echelon basis of the null space (each leading bit is clear in the other
+    vectors); complement holds each 1 << i whose image is independent of
+    the images before it, so their images form a basis of the image."""
     pivots = {}  # leading bit -> (reduced image, its preimage)
     kernel, complement = [], []
     for i, image in enumerate(images):
@@ -59,6 +62,8 @@ def kernel_basis(images: list) -> tuple:
             image ^= pivot_image
             pre ^= pivot_pre
         else:
+            for k in kernel:  # i tops every earlier leading bit: reduce pre
+                pre = min(pre, pre ^ k)
             kernel.append(pre)
     return kernel, complement
 
@@ -88,10 +93,11 @@ class FieldContext:
       8 bits at a time with a table of the multiples of the modulus by
       t * x^m, t < 256, built on the first `mul`.
 
-    The subfield F_{2^r} is the kernel of a -> a^(2^r) + a by
-    `kernel_basis`, the elimination that also gives the radicals in
-    `quadforms`; its embedding sends the canonical generator of F_{2^r} to
-    the smallest root of the degree-r canonical modulus.
+    The subfield F_{2^r} is r ints, the reduced echelon basis of the kernel
+    of a -> a^(2^r) + a by `kernel_basis` (the elimination that also gives
+    the radicals in `quadforms`), applied through its byte tables; the
+    embedding sends the canonical generator of F_{2^r} to the smallest root
+    of the degree-r canonical modulus and keeps byte tables of its powers.
 
     `lane_tables` gives numpy copies of the log/antilog lists and of the
     squaring map, for products of whole arrays at once (m <= LOG_MAX_DEGREE).
@@ -114,8 +120,8 @@ class FieldContext:
         self._exp_log = None              # (antilog, log), m <= LOG_MAX_DEGREE
         self._reduce = None               # reduction table, m > LOG_MAX_DEGREE
         self._lanes = None                # numpy (exp, log, sqr) arrays
-        self._subfields = {}              # r -> subfield_elements(r)
-        self._embeddings = {}             # r -> embed_subfield(r)
+        self._subfields = {}              # r -> subfield_basis(r)
+        self._embeddings = {}             # r -> tables of embed_subfield(r)
         # high-half bytes of a product of degree <= 2m - 2, top one first
         self._reduce_shifts = tuple(range(8 * ((m - 2) // 8), -1, -8))
         # bit i set iff the absolute trace of x^i is 1
@@ -295,63 +301,65 @@ class FieldContext:
             raise ValueError(f"{r} does not divide {self.m}")
         return self.frobenius(a, r) == a
 
-    def subfield_elements(self, r: int) -> list:
-        """All 2^r elements of F_{2^r} inside this field, ascending: the
-        span of the kernel of a -> a^(2^r) + a."""
-        sub = self._subfields.get(r)
-        if sub is None:
+    def subfield_basis(self, r: int) -> tuple:
+        """The kernel of a -> a^(2^r) + a by `kernel_basis`, reduced and
+        ascending: the element of code c, the xor of basis[j] over the bits
+        j of c, increases with c."""
+        basis = self._subfields.get(r)
+        if basis is None:
             if self.m % r:
                 raise ValueError(f"{r} does not divide {self.m}")
             kernel, _ = kernel_basis([self.frobenius(1 << i, r) ^ 1 << i
                                       for i in range(self.m)])
             assert len(kernel) == r, (self.m, r, len(kernel))
-            sub = _span(kernel)
-            sub.sort()
-            self._subfields[r] = sub
-        return sub
+            basis = self._subfields[r] = tuple(kernel)
+        return basis
+
+    def subfield_elements(self, r: int) -> list:
+        """All 2^r elements of F_{2^r} inside this field, ascending: entry
+        c is the element of code c (`subfield_basis`)."""
+        return _span(self.subfield_basis(r))
 
     def subfield_code(self, r: int):
-        """v -> index of v in `subfield_elements(r)`: the bits of v at the
-        leading bits of the echelon basis sub[1 << j], a GF(2)-linear map;
+        """v -> code of v (its index in `subfield_elements(r)`): the bits of
+        v at the leading bits of `subfield_basis(r)`, a GF(2)-linear map;
         AssertionError for v outside F_{2^r}."""
-        sub = self.subfield_elements(r)
-        pivots = [sub[1 << j].bit_length() - 1 for j in range(r)]
+        basis = self.subfield_basis(r)
+        pivots = [b.bit_length() - 1 for b in basis]
+        element = _byte_tables(basis)
 
         def code(v: int) -> int:
             c = 0
             for j, p in enumerate(pivots):
                 c |= ((v >> p) & 1) << j
-            if sub[c] != v:
+            if _apply(element, c) != v:
                 raise AssertionError("swept values left the subfield")
             return c
         return code
 
-    def embed_subfield(self, r: int) -> list:
-        """Embedding table F_{2^r} -> F_{2^m}: entry a is the image of the
-        element of the canonical F_{2^r} with bit pattern a.
+    def embed_subfield(self, r: int):
+        """Embedding F_{2^r} -> F_{2^m}: a -> the image of the element of
+        the canonical F_{2^r} with bit pattern a, a < 2^r.
 
         The canonical generator of F_{2^r} is sent to the smallest root of
-        the degree-r canonical modulus inside this field, making the
-        embedding deterministic: the first root, by Horner, in the
-        ascending `subfield_elements(r)`.  For r = m that root is x itself
-        and the table is the identity.
-        """
-        table = self._embeddings.get(r)
-        if table is None:
-            sub = self.subfield_elements(r)
+        the degree-r canonical modulus inside this field: the first root,
+        by Horner, over the elements of codes 0, 1, 2, ... (ascending).
+        For r = m that root is x and the map is the identity.  Kept as the
+        byte tables of the root's first r powers."""
+        tables = self._embeddings.get(r)
+        if tables is None:
+            element = partial(_apply, _byte_tables(self.subfield_basis(r)))
             small_mod = gf2x.canonical_modulus(r)
-            for root in sub:
+            for root in map(element, range(1 << r)):
                 value = 1
                 for i in range(r - 1, -1, -1):
                     value = self.mul(value, root) ^ (small_mod >> i & 1)
                 if not value:
                     break
             assert not value, (self.m, r)
-            powers = [1]
-            for _ in range(r - 1):
-                powers.append(self.mul(powers[-1], root))
-            table = self._embeddings[r] = _span(powers)
-        return table
+            tables = self._embeddings[r] = _byte_tables(
+                [self.pow(root, i) for i in range(r)])
+        return partial(_apply, tables)
 
 
 _CTX_CACHE = {}

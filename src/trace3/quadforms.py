@@ -48,7 +48,7 @@ def twist_form(family: int, r: int, n: int, alpha: int = 1) -> QuadForm:
     spec = CurveSpec(family, r, alpha)
     ctx = build_context(r * n)
     rhs = curve_rhs(spec, ctx)
-    alpha_big = ctx.embed_subfield(r)[alpha]
+    alpha_big = ctx.embed_subfield(r)(alpha)
     func = lambda x: ctx.absolute_trace(ctx.mul(alpha_big, rhs(x)))
     frob, mul = ctx.frobenius, ctx.mul
     # (alpha x^(2^a))^(2^-b) = alpha^(2^-b) x^(2^(a-b))

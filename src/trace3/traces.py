@@ -13,14 +13,14 @@ the reference, and the route for larger fields.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import product
 
 import numpy as np
 
 from . import anf, gf2x
 from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE, BudgetError,
-                    FieldContext, build_context)
+                    FieldContext, _byte_tables, build_context)
 
 
 def trace_triple(ctx: FieldContext, r: int, a: int):
@@ -91,7 +91,8 @@ class TraceCensus:
 class CensusCounts(Mapping):
     """Read-only mapping, key of the first `depth` traces -> count, over the
     histogram of their packed codes: the classes are its nonzero bins, keys
-    are decoded a block at a time in code order, counts are Python ints."""
+    are decoded a block at a time in code order (by numpy byte tables of
+    `FieldContext.subfield_basis`), counts are Python ints."""
 
     BLOCK = 1 << 16
 
@@ -99,7 +100,8 @@ class CensusCounts(Mapping):
         ctx = build_context(r * n)
         self._r, self._depth, self._active = r, depth, min(depth, n)
         self._code = ctx.subfield_code(r)
-        self._sub = np.array(ctx.subfield_elements(r), dtype=np.uint32)
+        self._element = [np.array(t, dtype=np.min_scalar_type(ctx.order - 1))
+                         for t in _byte_tables(ctx.subfield_basis(r))]
         self.hist, self._len = hist, int(np.count_nonzero(hist))
 
     def __getitem__(self, key):
@@ -134,10 +136,15 @@ class CensusCounts(Mapping):
         r, mask = self._r, (1 << self._r) - 1
         for start in range(0, self.hist.size, self.BLOCK):
             codes = np.flatnonzero(self.hist[start:start + self.BLOCK]) + start
-            cols = [self._sub[(codes >> s) & mask].tolist()
+            cols = [self._decode((codes >> s) & mask)
                     for s in range(r * (self._active - 1), -1, -r)[:width]]
             cols += [[0] * codes.size] * (width - len(cols))
             yield cols, self.hist[codes].tolist()
+
+    def _decode(self, codes: np.ndarray) -> list:
+        """The elements of an array of r-bit codes."""
+        return reduce(np.bitwise_xor, (t[codes >> 8 * j & 0xFF] for j, t
+                                       in enumerate(self._element))).tolist()
 
 
 _WHICH_DEPTH = {"one": 1, "two": 2, "three": 3}
@@ -147,7 +154,7 @@ def _census_counts(r: int, n: int, depth: int, cap: int) -> CensusCounts:
     """Classes of the first `depth` traces by one sweep of the packed
     `FieldContext.subfield_code`s (linear, checked) of the nonempty sums."""
     m = r * n
-    anf.check_sweep(m, cap)  # before the subfield table, 2^r entries
+    anf.check_sweep(m, cap)
     ctx = build_context(m)
     code = ctx.subfield_code(r)
     active = range(min(depth, n))
@@ -174,11 +181,6 @@ def trace_class_count(r: int, n: int, traces, cap: int = DEFAULT_ENUM_CAP) -> in
     """Number of elements of F_{2^(rn)} whose first traces are `traces`, as
     big-field bit patterns; 0 off the subfield or nonzero on an empty sum."""
     return _census_counts(r, n, len(traces), cap).get(tuple(traces), 0)
-
-
-def census_rows_json(census: TraceCensus):
-    return [{"t1_bits": row[0], "t2_bits": row[1], "t3_bits": row[2],
-             "count": str(row[3])} for row in census.rows()]
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +522,10 @@ def joint_zero_identity_check(ctx: FieldContext, r: int, f1, f2) -> bool:
     a2 = np.asarray(f2, dtype=np.uint32)
     n00 = int(np.count_nonzero((a1 == 0) & (a2 == 0)))
     rhs = -size + int(np.count_nonzero(a1 == 0))
-    for alpha in ctx.subfield_elements(r):
+    sub = ctx.subfield_elements(r)
+    for alpha in sub:
         table = np.zeros(size, dtype=np.uint32)
-        for v in ctx.subfield_elements(r):
+        for v in sub:
             table[v] = ctx.mul(alpha, v)
         rhs += int(np.count_nonzero(table[a1] ^ a2 == 0))
     return (1 << r) * n00 == rhs

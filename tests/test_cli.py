@@ -67,11 +67,12 @@ def test_count_traces_budget_error(capsys):
     assert code == 2 and "budget" in err
 
 
-def run_capped(*argv):
-    """The CLI in a child whose address space is capped at 2 GiB, so that
-    an allocation beyond that fails there instead of loading the machine."""
+def run_capped(*argv, cap=2 << 30):
+    """The CLI in a child whose address space is capped at `cap` bytes, so
+    that an allocation beyond that fails there instead of loading the
+    machine."""
     def cap_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     src = os.path.dirname(os.path.dirname(trace3.__file__))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -136,6 +137,27 @@ def test_twist_table_route_of_c1_needs_no_field_enumeration():
         "agree": True, "alpha": 1, "alpha_class": "all",
         "counts": {"table": "2147483649"}, "family": "c1",
         "hasse_weil": True, "n": 1, "r": 30}
+
+
+@pytest.mark.parametrize("argv", [
+    ("quadform", "report", "--family", "c2", "--alpha", "3"),
+    ("curve", "count", "--family", "c1", "--alpha", "1"),
+])
+def test_twist_at_r_26_holds_no_table_of_the_field(argv):
+    # r = rn = 26 is within the default budget: the embedding of alpha is
+    # byte tables of the root's powers, not a 2^26-entry list
+    proc = run_capped(*argv, "--r", "26", "--n", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout).get("agree", True) is True
+
+
+def test_json_census_streams_within_512_mib():
+    # 2^21 classes: the JSON rows are written one at a time
+    proc = run_capped("count-traces", "--r", "7", "--n", "3", cap=512 << 20)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["total"] == str(1 << 21)
+    assert sum(int(row["count"]) for row in payload["rows"]) == 1 << 21
 
 
 def test_uncaught_exception_exits_3():
@@ -289,6 +311,21 @@ def test_fourier_analyze_irrational_golden(capsys):
         expected = handle.read()
     assert code == 0 and out == expected
     assert out.count('"coordinates"') == 6
+
+
+@pytest.mark.parametrize("rows,flags", [
+    ([["n", "value"], ["2"]], ()),
+    ([["n", "value"]] + [[n, 0] for n in range(2, 20)],
+     ("--period-candidates", "0")),
+], ids=["one-column-row", "period-0"])
+def test_fourier_analyze_rejects_bad_input(capsys, tmp_path, rows, flags):
+    path = tmp_path / "seq.csv"
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+    code, out, err = run_cli(capsys, "fourier", "analyze", "--q", "2",
+                             "--input", str(path), *flags)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_verify_tiny_budget(capsys):

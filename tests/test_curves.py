@@ -88,7 +88,7 @@ def brute_force_count(spec, n):
     else:
         fiber = 2
         image = {ctx.sqr(y) ^ y for y in range(ctx.order)}
-        scale = ctx.embed_subfield(spec.r)[spec.alpha]
+        scale = ctx.embed_subfield(spec.r)(spec.alpha)
     return 1 + fiber * sum(ctx.mul(scale, rhs(x)) in image
                            for x in range(ctx.order))
 

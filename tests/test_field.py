@@ -8,6 +8,7 @@ import pytest
 from trace3 import field, gf2x
 from trace3.anf import sweep_chunks
 from trace3.field import MAX_DEGREE, FieldContext, build_context, kernel_basis
+from trace3.traces import trace_census
 
 
 def naive_poly_mul(a, b):
@@ -372,6 +373,43 @@ def test_kernel_basis_on_random_maps():
                 complement)
 
 
+_BASIS_CASES = [(m, r) for m in range(1, 17) for r in range(1, m + 1)
+                if m % r == 0] + [(64, 32), (60, 20), (48, 16)]
+
+
+@pytest.mark.parametrize("m,r", _BASIS_CASES)
+def test_subfield_basis_is_sorted_reduced_and_inverts_the_code(m, r):
+    ctx = build_context(m)
+    basis = ctx.subfield_basis(r)
+    assert len(basis) == r and list(basis) == sorted(basis)
+    for a in basis:  # reduced: each leading bit is clear in the others
+        assert not any(a >> b.bit_length() - 1 & 1 for b in basis if b != a)
+    assert all(ctx.is_in_subfield(b, r) for b in basis)
+    code = ctx.subfield_code(r)
+    rng = random.Random(m * 64 + r)
+    for c in [0, (1 << r) - 1] + [rng.getrandbits(r) for _ in range(30)]:
+        assert code(_images_of(basis, c)) == c
+    if r < m:
+        outside = next(v for v in range(ctx.order)
+                       if not ctx.is_in_subfield(v, r))
+        with pytest.raises(AssertionError):
+            code(outside)
+
+
+def test_subfield_maps_build_no_table_of_the_subfield(monkeypatch):
+    # only byte tables (at most 8 images each) are spanned, never F_{2^r}
+    span = field._span
+
+    def spy(images):
+        assert len(images) <= 8, len(images)
+        return span(images)
+
+    monkeypatch.setattr(field, "_span", spy)
+    FieldContext(64).subfield_code(32)
+    FieldContext(24).embed_subfield(24)
+    trace_census(12, 1, "one")
+
+
 def _embed_by_scan(big, r):
     """Reference embedding: the powers of the smallest root, over every
     element of the subfield, of the degree-r canonical modulus."""
@@ -393,7 +431,8 @@ def _embed_by_scan(big, r):
                                  for r in range(1, m + 1) if m % r == 0]
                          + [(24, 12)])
 def test_embed_subfield_matches_scan_of_every_element(m, r):
-    assert FieldContext(m).embed_subfield(r) == _embed_by_scan(
+    emb = FieldContext(m).embed_subfield(r)
+    assert list(map(emb, range(1 << r))) == _embed_by_scan(
         build_context(m), r)
 
 
@@ -419,12 +458,12 @@ def test_embed_subfield_is_homomorphism(m, r):
     big = build_context(m)
     small = build_context(r)
     emb = big.embed_subfield(r)
-    assert emb[0] == 0 and emb[1] == 1
-    assert sorted(emb) == big.subfield_elements(r)
+    assert emb(0) == 0 and emb(1) == 1
+    assert sorted(map(emb, range(1 << r))) == big.subfield_elements(r)
     if r == m:  # the same canonical modulus on both sides
-        assert emb == list(range(big.order))
+        assert list(map(emb, range(big.order))) == list(range(big.order))
     rng = random.Random(m * 7 + r)
     for _ in range(60):
         a, b = rng.randrange(1 << r), rng.randrange(1 << r)
-        assert emb[a ^ b] == emb[a] ^ emb[b]
-        assert emb[small.mul(a, b)] == big.mul(emb[a], emb[b])
+        assert emb(a ^ b) == emb(a) ^ emb(b)
+        assert emb(small.mul(a, b)) == big.mul(emb(a), emb(b))
