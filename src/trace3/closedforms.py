@@ -8,14 +8,16 @@ The deviation tables are `ResidueTable`s (see `residues`): literal rows
 of single terms sign * poly(q) * 2^(r(n+ofs)/2 + plus), evaluated by the
 one exact evaluator there, which asserts that every half-integer power
 cancels.  The root-of-unity forms below are an independent route to the
-same deviations.
+same deviations.  Their group weights are r-free integer polynomials in
+u = 2^ceil(r/2) over a denominator, as in `curves`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .cyclotomic import Cyc, imaginary_unit, root_group_sum, sqrt2_power
+from .cyclotomic import (Cyc, imaginary_unit, root_group_sum, root_groups,
+                         sqrt2_power)
 from .fourier import PeriodicFormula, deviation
 from .residues import (ALL_ZERO, BASE_FIELD, PARITY_COLUMNS, ResidueTable,
                        check_rn, evaluate)
@@ -297,11 +299,8 @@ def irreducible_all_zero_via_carlitz(r: int, n: int) -> int:
     if n < 3:
         raise ValueError("need n >= 3")
     s = 1 << (r // 2)
-    total = Fraction(0)
-    for d in divisors(n):
-        if d % 2 == 1:
-            total += moebius(d) * Fraction(count_all_zero_traces(r, n // d))
-    val = total / n
+    val = Fraction(sum(moebius(d) * count_all_zero_traces(r, n // d)
+                       for d in divisors(n) if d % 2), n)
     if n % 2 == 0:
         val -= Fraction(carlitz_count(s, n, 1), s)
     if val.denominator != 1 or val < 0:
@@ -312,28 +311,22 @@ def irreducible_all_zero_via_carlitz(r: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 # spectral form of the all-zero-trace count (both parities of r)
 
-def _f000_groups(r: int):
-    q = 1 << r
-    if r % 2:
-        s = 1 << ((r + 1) // 2)  # sqrt(2q)
-        return [
-            (Fraction(q * (q - 1) * (q - 2), 8), (0, 12)),
-            (Fraction(q * (q - 1) * (q + 2), 8), (6, 18)),
-            (Fraction((q - 1) * (q + 1) * (q - s), 12), (1, 7, 17, 23)),
-            (Fraction((q - 1) * (q + 1) * (q + s), 12), (5, 11, 13, 19)),
-            (Fraction((q - 1) * (q - s) * (5 * q + s + 4), 24), (3, 21)),
-            (Fraction((q - 1) * (q + s) * (5 * q - s + 4), 24), (9, 15)),
-        ]
-    t = 1 << (r // 2)  # sqrt(q)
-    return [
-        (Fraction((q - 1) * (q - 2 * t) * (5 * q + 2 * t + 4), 24), (0,)),
-        (Fraction((q - 1) * (q + 2 * t) * (5 * q - 2 * t + 4), 24), (12,)),
-        (Fraction(q * (q - 1) * (5 * q + 4), 24), (6, 18)),
-        (Fraction(q * q * (q - 1), 8), (3, 21, 9, 15)),
-        (Fraction(q * (q - 1) ** 2, 12), (2, 10, 14, 22)),
-        (Fraction((q - 1) * (q - t) * (q - t + 2), 12), (4, 20)),
-        (Fraction((q - 1) * (q + t) * (q + t + 2), 12), (8, 16)),
-    ]
+# r % 2 -> group rows (num, den, k of sqrt(q) omega_24^k), as in `curves`
+_F000 = {
+    1: (((0, 0, 8, 0, -6, 0, 1), 64, (0, 12)),
+        ((0, 0, -8, 0, 2, 0, 1), 64, (6, 18)),
+        ((0, 8, -4, 0, 0, -2, 1), 96, (1, 7, 17, 23)),
+        ((0, -8, -4, 0, 0, 2, 1), 96, (5, 11, 13, 19)),
+        ((0, 32, -8, 0, -6, -8, 5), 192, (3, 21)),
+        ((0, -32, -8, 0, -6, 8, 5), 192, (9, 15))),
+    0: (((0, 8, 0, 0, -5, -8, 5), 24, (0,)),
+        ((0, -8, 0, 0, -5, 8, 5), 24, (12,)),
+        ((0, 0, -4, 0, -1, 0, 5), 24, (6, 18)),
+        ((0, 0, 0, 0, -1, 0, 1), 8, (3, 21, 9, 15)),
+        ((0, 0, 1, 0, -2, 0, 1), 12, (2, 10, 14, 22)),
+        ((0, 2, -3, 0, 2, -2, 1), 12, (4, 20)),
+        ((0, -2, -3, 0, 2, 2, 1), 12, (8, 16))),
+}
 
 
 def count_all_zero_traces_spectral(r: int, n: int) -> int:
@@ -341,7 +334,7 @@ def count_all_zero_traces_spectral(r: int, n: int) -> int:
     q^(n-3) - q^(n/2-3) * sum over eigenvalue groups, exactly in Q(zeta_24)."""
     check_rn(r, n)
     q = 1 << r
-    acc = root_group_sum(24, _f000_groups(r), n)
+    acc = root_group_sum(24, root_groups(_F000[r % 2], r), n)
     total = Cyc.rational(24, Fraction(q) ** (n - 3)) \
         - sqrt2_power(24, r * (n - 6)) * acc
     val = total.as_rational()

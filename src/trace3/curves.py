@@ -14,6 +14,14 @@ Projective counts throughout: one point at infinity per curve.
 `COMBINED_ROUTES` and `TWIST_ROUTES` map each route's name to its
 count(spec, n, cap).
 
+The charpoly and spectral routes hold their data as r-free integers, one
+table per (family, parity of r), read at u = 2^ceil(r/2) = sqrt(2q) (odd r)
+or sqrt(q) (even r) by `cyclotomic.u_powers`.  A factor row (a_0..a_d) has
+X^(d-i) coefficient a_i u^i, divided by 2^(i//2) for odd r, so the factor
+is sqrt(q)^d P(X/sqrt(q)) with P free of r: X^2 - sX + q (s = sqrt(2q)) is
+(1, -1, 1).  Multiplicities and group weights are integer polynomials in u
+over a denominator: rows (num ascending, den).
+
 The residue tables are `ResidueTable`s (see `residues`) holding the
 deviation from 2^(rn) + 1 as single terms sign * poly(q) *
 2^(r(n+ofs)/2 + plus): one table per combined curve and a pair (odd r,
@@ -23,11 +31,13 @@ C2, and 1/beta for the smallest beta = 1/alpha of the branch for C3.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from . import anf
-from .cyclotomic import Cyc, root_group_sum, sqrt2_power
+from .cyclotomic import (Cyc, root_group_sum, root_groups, sqrt2_power,
+                         u_powers)
 from .field import DEFAULT_ENUM_CAP, FieldContext, build_context
 from .quadforms import (cubic_root_census, cubic_root_count, radical_report,
                         twist_form)
@@ -420,71 +430,68 @@ class FrobeniusData:
 
 
 def _exact_mult(num: int, den: int) -> int:
-    if num % den:
-        raise AssertionError(f"non-integer multiplicity {num}/{den}")
-    mult = num // den
-    if mult < 0:
-        raise AssertionError(f"negative multiplicity {mult}")
+    mult, rem = divmod(num, den)
+    if rem or mult < 0:
+        raise AssertionError(f"multiplicity {num}/{den} is not a count")
     return mult
+
+
+# (family, r % 2) -> factor rows (a_0..a_d, num, den); see the docstring
+_CHARPOLY = {
+    (1, 1): (((1, -1, 1), (0, 4, -2, -2, 1), 16),
+             ((1, 1, 1), (0, -4, -2, 2, 1), 16)),
+    (2, 1): (((1, -1, 1), (0, 4, -2, -2, 1), 16),
+             ((1, 1, 1), (0, -4, -2, 2, 1), 16),
+             ((1, 0, 1), (0, 0, -2, 0, 1), 8)),
+    (3, 1): (((1, 0, -1), (0, 0, -4, 0, 1), 32),
+             ((1, 0, 1), (0, 0, -4, 0, 1), 32),
+             ((1, -1, 1), (0, 32, -20, -8, 5), 96),
+             ((1, 1, 1), (0, -32, -20, 8, 5), 96),
+             ((1, -1, 1, -1, 1), (0, -4, 2, -2, 1), 48),
+             ((1, 1, 1, 1, 1), (0, 4, 2, 2, 1), 48)),
+    (1, 0): (((1, -1), (0, 2, -1, -2, 1), 4),
+             ((1, 1), (0, -2, -1, 2, 1), 4),
+             ((1, 0, 1), (0, 0, -1, 0, 1), 4)),
+    (2, 0): (((1, -1), (0, 2, -1, -2, 1), 12),
+             ((1, 1), (0, -2, -1, 2, 1), 12),
+             ((1, -1, 1), (0, 1, -1, -1, 1), 3),
+             ((1, 1, 1), (0, -1, -1, 1, 1), 3),
+             ((1, 0, 1), (0, 0, -1, 0, 1), 4)),
+    # the two sqrt(q)*omega_8 quartets share one multiplicity and combine
+    # into the integer quartic X^4 + q^2
+    (3, 0): (((1, -1), (0, 8, -8, -8, 5), 24),
+             ((1, 1), (0, -8, -8, 8, 5), 24),
+             ((1, 0, 1), (0, 0, -8, 0, 5), 24),
+             ((1, 0, 0, 0, 1), (0, 0, 0, 0, 1), 8),
+             ((1, -1, 1), (0, 2, -1, -2, 1), 12),
+             ((1, 1, 1), (0, -2, -1, 2, 1), 12),
+             ((1, 0, -1, 0, 1), (0, 0, -1, 0, 1), 12)),
+}
 
 
 def frobenius_charpoly(family: int, r: int) -> FrobeniusData:
     """Characteristic polynomial of Frobenius for the combined curve, as
-    supersingular quadratic/quartic factors with binomial-free integer
-    multiplicities (sqrt(2q) for odd r, sqrt(q) for even r are integers)."""
-    check_rn(r)
-    q = 1 << r
-    raw = []
-    if r % 2:
-        s = 1 << ((r + 1) // 2)  # sqrt(2q)
-        quad_minus = (1, -s, q)
-        quad_plus = (1, s, q)
-        if family == 1:
-            raw = [(quad_minus, (q - 1) * (q - s), 4),
-                   (quad_plus, (q - 1) * (q + s), 4)]
-        elif family == 2:
-            raw = [(quad_minus, (q - 1) * (q - s), 4),
-                   (quad_plus, (q - 1) * (q + s), 4),
-                   ((1, 0, q), (q - 1) * q, 2)]
-        else:
-            raw = [((1, 0, -q), (q - 2) * q, 8),
-                   ((1, 0, q), (q - 2) * q, 8),
-                   (quad_minus, (q - 2) * (5 * q - 4 * s), 24),
-                   (quad_plus, (q - 2) * (5 * q + 4 * s), 24),
-                   ((1, -s, q, -q * s, q * q), (q + 1) * (q - s), 12),
-                   ((1, s, q, q * s, q * q), (q + 1) * (q + s), 12)]
-    else:
-        t = 1 << (r // 2)  # sqrt(q)
-        if family == 1:
-            raw = [((1, -t), (q - 1) * (q - 2 * t), 4),
-                   ((1, t), (q - 1) * (q + 2 * t), 4),
-                   ((1, 0, q), (q - 1) * q, 4)]
-        elif family == 2:
-            raw = [((1, -t), (q - 1) * (q - 2 * t), 12),
-                   ((1, t), (q - 1) * (q + 2 * t), 12),
-                   ((1, -t, q), (q - 1) * (q - t) * 4, 12),
-                   ((1, t, q), (q - 1) * (q + t) * 4, 12),
-                   ((1, 0, q), (q - 1) * q, 4)]
-        else:
-            # the two sqrt(q)*omega_8 quartets share the weight q^2/8 and
-            # combine into the integer quartic X^4 + q^2
-            raw = [((1, -t), (q - 2 * t) * (5 * q + 2 * t - 4), 24),
-                   ((1, t), (q + 2 * t) * (5 * q - 2 * t - 4), 24),
-                   ((1, 0, q), q * (5 * q - 8), 24),
-                   ((1, 0, 0, 0, q * q), q * q, 8),
-                   ((1, -t, q), (q - 1) * (q - 2 * t) * 2, 24),
-                   ((1, t, q), (q - 1) * (q + 2 * t) * 2, 24),
-                   ((1, 0, -q, 0, q * q), (q - 1) * q, 12)]
-    factors = []
-    for coeffs, num, den in raw:
-        mult = _exact_mult(num, den)
-        if mult:
-            factors.append((coeffs, mult))
+    supersingular quadratic/quartic factors with integer multiplicities:
+    the rows of `_CHARPOLY` at u = 2^ceil(r/2)."""
     g = genus(CurveSpec(family, r))
-    fd = FrobeniusData(family, r, factors, g)
+    factors = _charpoly_factors(_CHARPOLY[family, r % 2], r)
+    fd = FrobeniusData(family, r, list(factors), g)
     if fd.degree != 2 * g:
         raise AssertionError(f"degree {fd.degree} != 2g = {2 * g}")
     return fd
+
+
+@lru_cache(maxsize=None)
+def _charpoly_factors(rows, r: int) -> tuple:
+    """The rows at r, cached: charpoly_count asks again for each n."""
+    powers = u_powers(r)
+    scale = [u_i >> (r % 2) * (i // 2) for i, u_i in enumerate(powers)]
+    factors = []
+    for coeffs, num, den in rows:
+        mult = _exact_mult(sum(map(mul, num, powers)), den)
+        if mult:
+            factors.append((tuple(map(mul, coeffs, scale)), mult))
+    return tuple(factors)
 
 
 def factor_power_sums(coeffs, n: int) -> list:
@@ -544,14 +551,14 @@ def roots_symmetric_under_q(coeffs, q: int) -> bool:
 
 def supersingularity_certificate(fd_or_factors) -> bool:
     """Certify that every Frobenius eigenvalue is sqrt(q) times a 24th root
-    of unity: X^48 = q^24 modulo each factor, by exact integer polynomial
+    of unity: X^24 = q^12 modulo each factor, by exact integer polynomial
     exponentiation."""
     if isinstance(fd_or_factors, FrobeniusData):
         q = 1 << fd_or_factors.r
         items = [f for f, _ in fd_or_factors.factors]
     else:
         q, items = fd_or_factors
-    return all(_x_power_mod(48, coeffs) == [0] * (len(coeffs) - 2) + [q ** 24]
+    return all(_x_power_mod(24, coeffs) == [0] * (len(coeffs) - 2) + [q ** 12]
                for coeffs in items)
 
 
@@ -589,51 +596,36 @@ def _x_power_mod(e: int, mod) -> list:
 # ---------------------------------------------------------------------------
 # spectral point counts: eigenvalue groups sqrt(q) * omega_24^k
 
-def _spectral_groups(family: int, r: int):
-    q = 1 << r
-    if r % 2:
-        s = 1 << ((r + 1) // 2)  # sqrt(2q)
-        base = [
-            (Fraction((q - 1) * (q - s), 4), (3, 21)),
-            (Fraction((q - 1) * (q + s), 4), (9, 15)),
-        ]
-        if family == 1:
-            return base
-        if family == 2:
-            return base + [(Fraction((q - 1) * q, 2), (6, 18))]
-        return [
-            (Fraction((q - 2) * q, 8), (0, 12)),
-            (Fraction((q - 2) * q, 8), (6, 18)),
-            (Fraction((q + 1) * (q - s), 12), (1, 7, 17, 23)),
-            (Fraction((q + 1) * (q + s), 12), (5, 11, 13, 19)),
-            (Fraction((q - 2) * (5 * q - 4 * s), 24), (3, 21)),
-            (Fraction((q - 2) * (5 * q + 4 * s), 24), (9, 15)),
-        ]
-    t = 1 << (r // 2)  # sqrt(q)
-    if family == 1:
-        return [
-            (Fraction((q - 1) * (q - 2 * t), 4), (0,)),
-            (Fraction((q - 1) * (q + 2 * t), 4), (12,)),
-            (Fraction((q - 1) * q, 4), (6, 18)),
-        ]
-    if family == 2:
-        return [
-            (Fraction((q - 1) * (q - 2 * t), 12), (0,)),
-            (Fraction((q - 1) * (q + 2 * t), 12), (12,)),
-            (Fraction((q - 1) * (q - t), 3), (4, 20)),
-            (Fraction((q - 1) * (q + t), 3), (8, 16)),
-            (Fraction((q - 1) * q, 4), (6, 18)),
-        ]
-    return [
-        (Fraction((q - 2 * t) * (5 * q + 2 * t - 4), 24), (0,)),
-        (Fraction((q + 2 * t) * (5 * q - 2 * t - 4), 24), (12,)),
-        (Fraction(q * (5 * q - 8), 24), (6, 18)),
-        (Fraction(q * q, 8), (3, 21)),
-        (Fraction(q * q, 8), (9, 15)),
-        (Fraction((q - 1) * q, 12), (2, 10, 14, 22)),
-        (Fraction((q - 1) * (q - 2 * t), 12), (4, 20)),
-        (Fraction((q - 1) * (q + 2 * t), 12), (8, 16)),
-    ]
+# (family, r % 2) -> group rows (num, den, k of sqrt(q) omega_24^k)
+_SPECTRAL = {
+    (1, 1): (((0, 4, -2, -2, 1), 16, (3, 21)),
+             ((0, -4, -2, 2, 1), 16, (9, 15))),
+    (2, 1): (((0, 4, -2, -2, 1), 16, (3, 21)),
+             ((0, -4, -2, 2, 1), 16, (9, 15)),
+             ((0, 0, -2, 0, 1), 8, (6, 18))),
+    (3, 1): (((0, 0, -4, 0, 1), 32, (0, 12)),
+             ((0, 0, -4, 0, 1), 32, (6, 18)),
+             ((0, -4, 2, -2, 1), 48, (1, 7, 17, 23)),
+             ((0, 4, 2, 2, 1), 48, (5, 11, 13, 19)),
+             ((0, 32, -20, -8, 5), 96, (3, 21)),
+             ((0, -32, -20, 8, 5), 96, (9, 15))),
+    (1, 0): (((0, 2, -1, -2, 1), 4, (0,)),
+             ((0, -2, -1, 2, 1), 4, (12,)),
+             ((0, 0, -1, 0, 1), 4, (6, 18))),
+    (2, 0): (((0, 2, -1, -2, 1), 12, (0,)),
+             ((0, -2, -1, 2, 1), 12, (12,)),
+             ((0, 1, -1, -1, 1), 3, (4, 20)),
+             ((0, -1, -1, 1, 1), 3, (8, 16)),
+             ((0, 0, -1, 0, 1), 4, (6, 18))),
+    (3, 0): (((0, 8, -8, -8, 5), 24, (0,)),
+             ((0, -8, -8, 8, 5), 24, (12,)),
+             ((0, 0, -8, 0, 5), 24, (6, 18)),
+             ((0, 0, 0, 0, 1), 8, (3, 21)),
+             ((0, 0, 0, 0, 1), 8, (9, 15)),
+             ((0, 0, -1, 0, 1), 12, (2, 10, 14, 22)),
+             ((0, 2, -1, -2, 1), 12, (4, 20)),
+             ((0, -2, -1, 2, 1), 12, (8, 16))),
+}
 
 
 def spectral_count(family: int, r: int, n: int) -> int:
@@ -641,7 +633,8 @@ def spectral_count(family: int, r: int, n: int) -> int:
     q^n + 1 - sum_groups c * (sqrt q)^n * sum_k omega_24^(kn), evaluated
     exactly in Q(zeta_24)."""
     check_rn(r, n)
-    acc = root_group_sum(24, _spectral_groups(family, r), n)
+    groups = root_groups(_SPECTRAL[check_family(family), r % 2], r)
+    acc = root_group_sum(24, groups, n)
     total = Cyc.rational(24, (1 << (r * n)) + 1) - sqrt2_power(24, r * n) * acc
     val = total.as_rational()
     assert val.denominator == 1

@@ -11,6 +11,7 @@ ints and reduces each result once; no floating point anywhere.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 MAX_ORDER = 120
 
@@ -226,6 +227,21 @@ def sqrt2_power(p: int, e: int) -> Cyc:
     if odd:
         out = out * sqrt2(p)
     return out
+
+
+def u_powers(r: int) -> list:
+    """u^0..u^6 at u = 2^ceil(r/2), which is sqrt(2q) for odd r and sqrt(q)
+    for even r (q = 2^r): the closed routes' rows have degree <= 6 in u."""
+    return [1 << (r + 1) // 2 * j for j in range(7)]
+
+
+@lru_cache(maxsize=None)
+def root_groups(rows, r: int) -> tuple:
+    """The (weight, exps) groups of `root_group_sum` from r-free rows
+    (num, den, exps): weight = sum_j num_j u^j / den; cached by rows and r."""
+    powers = u_powers(r)
+    return tuple((Fraction(sum(map(mul, num, powers)), den), exps)
+                 for num, den, exps in rows)
 
 
 def root_group_sum(p: int, groups, n: int) -> Cyc:

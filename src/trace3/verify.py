@@ -21,17 +21,6 @@ from .field import build_context
 SUITES = ("tables", "curves", "quadforms", "fourier")
 
 
-def _record(check_id, params, cases, failures, expected="exact equality"):
-    return {
-        "id": check_id,
-        "params": params,
-        "expected": expected,
-        "got": f"{cases - len(failures)}/{cases} cases equal",
-        "pass": not failures,
-        "failures": failures[:5],
-    }
-
-
 class _Collector:
     def __init__(self, check_id, params, expected="exact equality"):
         self.check_id = check_id
@@ -50,8 +39,14 @@ class _Collector:
                   {"case": detail, "expected": str(expected), "got": str(got)})
 
     def record(self):
-        return _record(self.check_id, self.params, self.cases, self.failures,
-                       self.expected)
+        return {
+            "id": self.check_id,
+            "params": self.params,
+            "expected": self.expected,
+            "got": f"{self.cases - len(self.failures)}/{self.cases} cases equal",
+            "pass": not self.failures,
+            "failures": self.failures[:5],
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,31 @@ def test_formula_commands(capsys):
     assert code == 0 and json.loads(out)["value"] == "48"
 
 
+def test_values_past_4300_digits(capsys):
+    # CPython 3.11 refuses int <-> str past 4300 digits unless the limit is
+    # lifted; the CLI lifts it, which the int() parses below also need
+    cf, curves = trace3.closedforms, trace3.curves
+    code, out, _ = run_cli(capsys, "formula", "gauss", "--q", "2",
+                           "--n", "20000")
+    assert code == 0
+    assert int(json.loads(out)["value"]) == cf.gauss_count(2, 20000)
+    code, out, _ = run_cli(capsys, "formula", "F000", "--r", "1",
+                           "--n", "20000")
+    assert code == 0
+    assert int(json.loads(out)["value"]) == cf.count_all_zero_traces(1, 20000)
+    code, out, _ = run_cli(capsys, "curve", "count", "--family", "c1",
+                           "--r", "1", "--n", "20000", "--method", "table")
+    assert code == 0
+    assert (int(json.loads(out)["counts"]["table"])
+            == curves.closed_count_combined(1, 1, 20000))
+    code, out, _ = run_cli(capsys, "curve", "charpoly", "--family", "c3",
+                           "--r", "7200")
+    assert code == 0
+    assert [(tuple(map(int, f["coefficients"])), int(f["multiplicity"]))
+            for f in json.loads(out)["factors"]] \
+        == curves.frobenius_charpoly(3, 7200).factors
+
+
 @pytest.mark.parametrize("argv", [
     ("gauss", "--n", "0"),
     ("carlitz", "--n", "0"),

@@ -357,6 +357,15 @@ def test_supersingularity_certificate_rejects_ordinary():
     assert not supersingularity_certificate((2, [(1, -3, 2)]))
 
 
+def test_supersingularity_certificate_needs_24th_roots_of_unity():
+    # X^8 + 16 at q = 2 has the roots sqrt(2) * zeta_16^odd: X^48 = 2^24
+    # modulo it, but X^24 != 2^12
+    assert not supersingularity_certificate((2, [(1, 0, 0, 0, 0, 0, 0, 0, 16)]))
+    for family in (1, 2, 3):
+        for r in range(1, 25):
+            assert supersingularity_certificate(frobenius_charpoly(family, r))
+
+
 @pytest.mark.parametrize("route,args", [
     (spectral_count, (1, 1, 0)), (spectral_count, (3, 0, 3)),
     (charpoly_count, (1, 1, 0)), (charpoly_count, (3, 0, 3)),
