@@ -260,14 +260,14 @@ def build_parser():
         description="Exact counts of binary-field elements and irreducible "
                     "polynomials by their first three traces, cross-verified "
                     "through supersingular curve point counts.")
-    parser.add_argument("--max-bits", type=int,
-                        default=int(os.environ.get(ENV_BUDGET, DEFAULT_ENUM_CAP)),
+    parser.add_argument("--max-bits",
+                        default=os.environ.get(ENV_BUDGET, str(DEFAULT_ENUM_CAP)),
                         help="enumeration budget in bits (env TRACE3_MAX_BITS)")
     parser.add_argument("--config", help="JSON file with defaults for any flag")
     # the same flags are accepted after a subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-bits", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--max-bits", default=argparse.SUPPRESS)
     common.add_argument("--config", default=argparse.SUPPRESS)
 
     def add_parser(owner, name, **kwargs):
@@ -410,6 +410,15 @@ def _apply_config(parser, args):
         p = subs.choices[getattr(args, subs.dest)] if subs else None
 
 
+def _budget(text: str) -> int:
+    """The text of --max-bits, from the flag, the config file, TRACE3_MAX_BITS
+    or the default, as a budget: an integer >= 0 from any source."""
+    if not text.strip().isdecimal():
+        raise ValueError(f"the budget (--max-bits, {ENV_BUDGET} or config key "
+                         f"max_bits) must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # 3.11+ caps int -> str
         sys.set_int_max_str_digits(0)
@@ -419,6 +428,7 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(parser, args)
             args = parser.parse_args(argv)
+        args.max_bits = _budget(args.max_bits)
         return args.func(args)
     except (BudgetError,) as exc:
         print(f"budget error: {exc}", file=sys.stderr)

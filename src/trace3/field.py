@@ -259,15 +259,16 @@ class FieldContext:
         return tables
 
     def _trace_images(self, r: int) -> list:
-        """Tr_{m/r}(x^i) for i < m; requires r | m."""
-        images = []
-        for i in range(self.m):
-            x = 1 << i
-            t = x
-            for _ in range(self.m // r - 1):
-                x = self.frobenius(x, r)
-                t ^= x
-            images.append(t)
+        """Tr_{m/r}(x^i) for i < m; requires r | m.  S_k = sum of F^(rj), j < k,
+        F the Frobenius, grows along the bits of m/r by S_(a+b) = S_a + F^(ra) S_b."""
+        images = basis = [1 << i for i in range(self.m)]  # S_1
+        k = 1
+        for bit in bin(self.m // r)[3:]:
+            images, k = [s ^ self.frobenius(s, r * k) for s in images], 2 * k
+            if bit == "1":
+                images = [s ^ self.frobenius(x, r * k)
+                          for s, x in zip(images, basis)]
+                k += 1
         return images
 
     def absolute_trace(self, a: int) -> int:

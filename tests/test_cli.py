@@ -353,6 +353,24 @@ def test_fourier_analyze_rejects_bad_input(capsys, tmp_path, rows, flags):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+# the five checks that `verify.budget_rule` scales below its full budget
+RESCALED = {"inversion-integrality", "trace-addition-identities",
+            "joint-zero-identity", "curve-closed-three-way", "dft-round-trip"}
+
+
+def _frozen_verify(budget):
+    """The records of `verify --suite all --max-bits <budget>` as printed
+    before the one budget rule (see tests/data/verify/README.md)."""
+    path = os.path.join(os.path.dirname(__file__), "data", "verify",
+                        f"all_{budget}.json")
+    with open(path) as handle:
+        return json.load(handle)["checks"]
+
+
+def _cases(record):
+    return int(record["got"].split("/")[1].split()[0])
+
+
 def test_verify_tiny_budget(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "all",
                              "--max-bits", "4")
@@ -360,6 +378,57 @@ def test_verify_tiny_budget(capsys):
     payload = json.loads(out)
     assert payload["summary"]["failed"] == 0
     assert "wall_time_ms" not in payload
+    records, at4, at20 = payload["checks"], _frozen_verify(4), _frozen_verify(20)
+    assert [r["id"] for r in records] == [r["id"] for r in at4] \
+        == [r["id"] for r in at20]
+    assert RESCALED <= {r["id"] for r in records}
+    for rec, old, full in zip(records, at4, at20):
+        assert _cases(rec) >= 1, rec
+        if rec["id"] in RESCALED:
+            assert _cases(rec) < _cases(full), rec
+        else:  # capped and fixed-cost records are as before the budget rule
+            assert rec == old
+
+
+@pytest.mark.parametrize("env,argv", [
+    ("abc", ("formula", "gauss", "--n", "3")),
+    ("-1", ("formula", "gauss", "--n", "3")),
+    ("abc", ("verify", "--suite", "fourier")),
+    (None, ("--max-bits", "-3", "verify", "--suite", "fourier")),
+    (None, ("verify", "--suite", "fourier", "--max-bits", "-1")),
+    (None, ("--max-bits", "-1", "count-irreducibles", "--q", "2", "--n", "5")),
+    (None, ("count-traces", "--r", "1", "--n", "3", "--max-bits", "abc")),
+    (None, ("count-traces", "--r", "1", "--n", "3", "--max-bits", "2.5")),
+], ids=["env-abc", "env-negative", "env-abc-verify", "flag-negative-verify",
+        "subcommand-flag-negative", "flag-negative-count-irreducibles",
+        "flag-abc", "flag-fraction"])
+def test_invalid_budget_exits_2_with_one_message(capsys, monkeypatch, env, argv):
+    if env is None:
+        monkeypatch.delenv("TRACE3_MAX_BITS", raising=False)
+    else:
+        monkeypatch.setenv("TRACE3_MAX_BITS", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the budget") and "integer >= 0" in err
+
+
+def test_invalid_budget_in_config_exits_2_with_one_message(capsys, tmp_path):
+    cfg = _config(tmp_path, {"max_bits": -2})
+    code, out, err = run_cli(capsys, "--config", cfg, "formula", "gauss",
+                             "--n", "3")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: the budget")
+
+
+def test_valid_budget_from_env_and_flag(capsys, monkeypatch):
+    # a flag wins over the environment, which wins over the default
+    monkeypatch.setenv("TRACE3_MAX_BITS", " 6 ")
+    code, out, _ = run_cli(capsys, "count-traces", "--r", "1", "--n", "6")
+    assert code == 0 and json.loads(out)["total"] == "64"
+    code, _, err = run_cli(capsys, "count-traces", "--r", "1", "--n", "6",
+                           "--max-bits", "5")
+    assert code == 2 and "budget" in err
 
 
 def test_emit_table_formats(capsys):

@@ -270,6 +270,44 @@ def test_frobenius_power_is_composed_from_built_tables(monkeypatch):
     assert calls <= 4 * 64 * 6
 
 
+def _trace_images_stepwise(ctx, r):
+    """Tr_{m/r}(x^i): the sum of m/r - 1 Frobenius^r steps from each x^i."""
+    images = []
+    for i in range(ctx.m):
+        x = t = 1 << i
+        for _ in range(ctx.m // r - 1):
+            x = ctx.frobenius(x, r)
+            t ^= x
+        images.append(t)
+    return images
+
+
+@pytest.mark.parametrize("m", range(1, MAX_DEGREE + 1))
+def test_trace_images_by_doubling_match_stepwise_sum(m):
+    ctx = build_context(m)
+    for r in (r for r in range(1, m + 1) if m % r == 0):
+        assert ctx._trace_images(r) == _trace_images_stepwise(ctx, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 4, 8])
+def test_trace_images_take_log_many_frobenius_maps(monkeypatch, r):
+    # by doubling, at most 2 log2(m/r) maps of the m basis images; the
+    # stepwise sum makes m/r - 1 of them (4032 calls at m = 64, r = 1)
+    ctx = FieldContext(64)
+    calls = 0
+    frobenius = ctx.frobenius
+
+    def counting(a, k):
+        nonlocal calls
+        calls += 1
+        return frobenius(a, k)
+
+    monkeypatch.setattr(ctx, "frobenius", counting)
+    images = ctx._trace_images(r)
+    assert calls <= 2 * 64 * (64 // r).bit_length()
+    assert images == _trace_images_stepwise(FieldContext(64), r)
+
+
 def test_frobenius_iter():
     ctx = build_context(2)
     omega = 0b10  # root of x^2 + x + 1
