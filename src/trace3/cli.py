@@ -7,8 +7,9 @@ strings); CSV and Markdown are views.  Exit codes: 0 success / all checks
 pass, 1 verification mismatch, 2 usage or budget error, 3 internal error
 (any other exception, MemoryError included, reported as one stderr
 line).  Output is byte-deterministic for fixed arguments: `verify --timing`
-writes one line per check to stderr.  Every exhaustive count is one `anf`
-sweep, refused with exit code 2 beyond `--max-bits` or 2^32 inputs.
+writes one line per check to stderr.  Every exhaustive count (an `anf`
+sweep, or the candidates of a prefix count) is refused by `anf.check_sweep`
+with exit code 2 beyond `--max-bits` or 2^32 inputs.
 """
 
 import argparse
@@ -72,7 +73,7 @@ def _log2(q):
 def cmd_count_irreducibles(args):
     r = _log2(args.q)
     value = traces.count_irreducibles_with_prefix(
-        r, args.n, args.t1, args.t2, args.t3, budget=1 << args.max_bits)
+        r, args.n, args.t1, args.t2, args.t3, cap=args.max_bits)
     _emit({"q": args.q, "n": args.n,
            "prefix": [args.t1, args.t2, args.t3], "count": str(value)})
     return 0

@@ -18,9 +18,9 @@ from math import isqrt
 
 from .cyclotomic import (Cyc, imaginary_unit, root_group_sum, root_groups,
                          sqrt2_power)
-from .fourier import PeriodicFormula, deviation
+from .fourier import PeriodicFormula
 from .residues import (ALL_ZERO, BASE_FIELD, PARITY_COLUMNS, ResidueTable,
-                       check_rn, evaluate)
+                       check_rn)
 
 
 def moebius(n: int) -> int:
@@ -113,6 +113,35 @@ THREE_TRACE_TABLE = ResidueTable(24, THREE_TRACE_CLASSES, BASE_FIELD, {
     23: ((1, "3", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0)),
 }, main=(3, 0), n_min=3)
 
+# the trace-one classes t1 = 1
+THREE_TRACE_T1_TABLE = ResidueTable(24, THREE_TRACE_CLASSES, BASE_FIELD, {
+    0: (None, None, None, None),
+    1: ((1, "3", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0)),
+    2: ((-1, "1", -4, 0), (-1, "1", -4, 0), (1, "3", -4, 0), (-1, "1", -4, 0)),
+    3: ((-1, "1", -3, 0), (1, "1", -1, 0), (-1, "1", -3, 0), None),
+    4: ((1, "1", -2, 0), (-1, "1", -2, 0), (-1, "1", -2, 0), (1, "1", -2, 0)),
+    5: ((-1, "3", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0)),
+    6: ((1, "1", -2, 0), None, (1, "1", -2, 0), (-1, "1", 0, 0)),
+    7: ((-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (1, "3", -5, 0)),
+    8: (None, None, None, None),
+    9: (None, (1, "1", -3, 0), (-1, "1", -1, 0), (1, "1", -3, 0)),
+    10: ((-1, "1", -4, 0), (-1, "1", -4, 0), (1, "3", -4, 0), (-1, "1", -4, 0)),
+    11: ((1, "1", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0), (-1, "3", -5, 0)),
+    12: ((1, "1", -2, 0), (-1, "1", -2, 0), (-1, "1", -2, 0), (1, "1", -2, 0)),
+    13: ((-1, "3", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0)),
+    14: ((-1, "1", -4, 0), (1, "3", -4, 0), (-1, "1", -4, 0), (-1, "1", -4, 0)),
+    15: ((1, "1", -3, 0), (-1, "1", -1, 0), (1, "1", -3, 0), None),
+    16: (None, None, None, None),
+    17: ((1, "3", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0)),
+    18: ((-1, "1", 0, 0), (1, "1", -2, 0), None, (1, "1", -2, 0)),
+    19: ((1, "1", -5, 0), (1, "1", -5, 0), (1, "1", -5, 0), (-1, "3", -5, 0)),
+    20: ((1, "1", -2, 0), (-1, "1", -2, 0), (-1, "1", -2, 0), (1, "1", -2, 0)),
+    21: (None, (-1, "1", -3, 0), (1, "1", -1, 0), (-1, "1", -3, 0)),
+    22: ((-1, "1", -4, 0), (1, "3", -4, 0), (-1, "1", -4, 0), (-1, "1", -4, 0)),
+    23: ((-1, "1", -5, 0), (-1, "1", -5, 0), (-1, "1", -5, 0), (1, "3", -5, 0)),
+}, main=(3, 0), n_min=3)
+THREE_TRACE_TABLES = {0: THREE_TRACE_TABLE, 1: THREE_TRACE_T1_TABLE}
+
 
 def two_trace_deviation(n: int, t1: int, t2: int) -> int:
     """f(n, t1, t2) = F_2(n, t1, t2) - 2^(n-2), period 8 in n (n >= 2)."""
@@ -125,19 +154,11 @@ def count_two_traces(n: int, t1: int, t2: int) -> int:
 
 
 def three_trace_deviation(n: int, t1: int, t2: int, t3: int) -> int:
-    """f(n, t1, t2, t3) = F_2(n, t1, t2, t3) - 2^(n-3) for n >= 3.
-
-    The trace-zero classes come from the period-24 table; the trace-one
-    classes are evaluated from their root-of-unity closed forms.
-    """
-    term = THREE_TRACE_TABLE.term(1, n, f"t2={t2},t3={t3}")
-    if t1 == 0:
-        return evaluate(term, 1, n)
-    if t1 != 1:
+    """f(n, t1, t2, t3) = F_2(n, t1, t2, t3) - 2^(n-3) for n >= 3, from the
+    period-24 table of the classes with first trace t1."""
+    if t1 not in THREE_TRACE_TABLES:
         raise ValueError(f"need t1 in (0, 1), got t1 = {t1}")
-    dev = deviation(three_trace_formula(1, t2, t3), n)
-    assert dev.denominator == 1
-    return int(dev)
+    return THREE_TRACE_TABLES[t1].deviation(1, n, f"t2={t2},t3={t3}")
 
 
 def count_three_traces(n: int, t1: int, t2: int, t3: int) -> int:
@@ -161,7 +182,7 @@ def two_trace_formula(t1: int, t2: int) -> PeriodicFormula:
         (1, 1): {3: i8.scale(quarter), 5: i8.scale(-quarter)},
     }
     coeffs = [table[(t1, t2)].get(k, Cyc.rational(8, 0)) for k in range(8)]
-    return PeriodicFormula(8, coeffs, q=2, order=8)
+    return PeriodicFormula(8, coeffs, q=2)
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +229,7 @@ def three_trace_formula(t1: int, t2: int, t3: int) -> PeriodicFormula:
             13: i.scale(sign_w * e), 19: i.scale(-sign_w * e),
         }
     out = [coeffs.get(k, rat(0)) for k in range(24)]
-    return PeriodicFormula(24, out, q=2, order=24)
+    return PeriodicFormula(24, out, q=2)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +266,6 @@ ALL_ZERO_TABLE = ResidueTable(24, PARITY_COLUMNS, ALL_ZERO, {
 }, main=(3, 0))
 
 
-def all_zero_deviation(r: int, n: int) -> Fraction:
-    """F_q(n,0,0,0) - q^(n-3) as an exact rational (q = 2^r, n >= 1)."""
-    return Fraction(ALL_ZERO_TABLE.deviation(r, n))
-
-
 def count_all_zero_traces(r: int, n: int) -> int:
     """Number of a in F_{q^n}, q = 2^r, whose first three traces all vanish.
 
@@ -270,19 +286,18 @@ def irreducible_all_zero(r: int, n: int) -> int:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    q = 1 << r
-    total = Fraction(0)
+    total = 0
     for d in divisors(n):
-        if d % 2 == 0:
-            continue
-        term = Fraction(count_all_zero_traces(r, n // d))
-        if n % 2 == 0:
-            term -= Fraction(q) ** (n // (2 * d) - 1)
-        total += moebius(d) * term
-    val = total / n
-    if val.denominator != 1 or val < 0:
-        raise AssertionError(f"inversion gave non-count {val} at r={r}, n={n}")
-    return int(val)
+        if d % 2:
+            term = count_all_zero_traces(r, n // d)
+            if n % 2 == 0:
+                term -= 1 << r * (n // (2 * d) - 1)
+            total += moebius(d) * term
+    val, rem = divmod(total, n)
+    if rem or val < 0:
+        raise AssertionError(f"inversion gave non-count {Fraction(total, n)} "
+                             f"at r={r}, n={n}")
+    return val
 
 
 def irreducible_all_zero_via_carlitz(r: int, n: int) -> int:

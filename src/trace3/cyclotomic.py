@@ -87,17 +87,6 @@ def _new(p: int, num: tuple, den: int) -> "Cyc":
     return x
 
 
-def _combine(rows, coeffs, d: int) -> tuple:
-    """sum_j coeffs[j] * rows[j] over the nonzero coeffs, as an int tuple."""
-    out = [0] * d
-    for row, c in zip(rows, coeffs):
-        if c:
-            for t, v in enumerate(row):
-                if v:
-                    out[t] += c * v
-    return tuple(out)
-
-
 class Cyc:
     """An element of Q(zeta_P): num / den with integer numerators."""
 
@@ -204,10 +193,13 @@ class Cyc:
 
     def conj(self) -> "Cyc":
         """Complex conjugate (zeta -> zeta^(-1))."""
-        p = self.p
-        table = _monomial_table(p)
-        rows = [table[-j % p] for j in range(len(self.num))]
-        return _new(p, _combine(rows, self.num, len(self.num)), self.den)
+        p, table = self.p, _monomial_table(self.p)
+        out = [0] * len(self.num)
+        for j, c in enumerate(self.num):
+            if c:
+                for t, v in enumerate(table[-j % p]):
+                    out[t] += c * v
+        return _new(p, tuple(out), self.den)
 
     def norm_squared(self) -> "Cyc":
         return self * self.conj()
@@ -263,14 +255,3 @@ def imaginary_unit(p: int) -> Cyc:
         raise ValueError("i needs 4 | P")
     return Cyc.zeta_pow(p, p // 4)
 
-
-def embed(x: Cyc, p: int) -> Cyc:
-    """Embed an element of Q(zeta_{x.p}) into Q(zeta_p); requires x.p | p."""
-    if p == x.p:
-        return x
-    if p % x.p:
-        raise ValueError(f"{x.p} does not divide {p}")
-    k = p // x.p
-    table = _monomial_table(p)
-    rows = [table[(j * k) % p] for j in range(len(x.num))]
-    return _new(p, _combine(rows, x.num, _degree(p)), x.den)

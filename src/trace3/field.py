@@ -137,10 +137,6 @@ class FieldContext:
     def __hash__(self):
         return hash(("FieldContext", self.m))
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if not (a and b):
             return 0

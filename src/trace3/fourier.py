@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cyclotomic import Cyc, embed, sqrt2_power
+from .cyclotomic import Cyc, sqrt2_power
 
 DEFAULT_PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8, 12, 24, 48)
 
@@ -27,18 +27,17 @@ class PeriodicFormula:
     period: int
     coeffs: list
     q: int = 2
-    order: int = None
 
     def __post_init__(self):
-        if self.order is None:
-            self.order = lcm(self.period, 8)
-        if self.order % self.period:
-            raise ValueError("period must divide the cyclotomic order")
         if len(self.coeffs) != self.period:
             raise ValueError("need one coefficient per residue")
         self.coeffs = [c if isinstance(c, Cyc) else Cyc.rational(self.order, c)
                        for c in self.coeffs]
-        self.coeffs = [embed(c, self.order) for c in self.coeffs]
+
+    @property
+    def order(self) -> int:
+        """L = lcm(P, 8): sqrt(2) and the P-th roots of unity both exist."""
+        return lcm(self.period, 8)
 
     def nonzero_indices(self):
         return [k for k, c in enumerate(self.coeffs) if not c.is_zero()]
@@ -52,26 +51,18 @@ class PeriodicFormula:
                 out = out + g * Cyc.zeta_pow(self.order, step * k * n)
         return out
 
-    def __eq__(self, other):
-        if not (isinstance(other, PeriodicFormula)
-                and self.period == other.period and self.q == other.q):
-            return False
-        common = lcm(self.order, other.order)
-        return all(embed(a, common) == embed(b, common)
-                   for a, b in zip(self.coeffs, other.coeffs))
-
 
 def dft_extract(values, period: int, q: int = 2) -> PeriodicFormula:
     """Inverse DFT over Q(zeta_L): g_k = (1/P) sum_j v_j omega_P^(-jk).
 
     values[j] is the normalized deviation at n == j (mod P); entries may be
-    Fractions/ints or Cyc elements (e.g. rational multiples of sqrt 2).
+    Fractions/ints or Cyc elements of order L = lcm(P, 8) (e.g. rational
+    multiples of sqrt 2).
     """
     if len(values) != period:
         raise ValueError("need exactly one value per residue class")
     order = lcm(period, 8)
     vals = [v if isinstance(v, Cyc) else Cyc.rational(order, v) for v in values]
-    vals = [embed(v, order) for v in vals]
     step = order // period
     inv_p = Fraction(1, period)
     coeffs = []
@@ -81,7 +72,7 @@ def dft_extract(values, period: int, q: int = 2) -> PeriodicFormula:
             if not v.is_zero():
                 g = g + v * Cyc.zeta_pow(order, -step * j * k)
         coeffs.append(g.scale(inv_p))
-    return PeriodicFormula(period, coeffs, q=q, order=order)
+    return PeriodicFormula(period, coeffs, q=q)
 
 
 def reconstruct(formula: PeriodicFormula, n: int) -> Fraction:
@@ -112,7 +103,7 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def is_periodic(values, n0: int, q: int, period: int) -> bool:
+def is_periodic(values, q: int, period: int) -> bool:
     """Exact check that f(n)/q^(n/2) has the given period over the window.
 
     v(n+P) = v(n) iff f(n+P)^2 = f(n)^2 * q^P with matching signs, which
@@ -143,7 +134,7 @@ def analyze_sequence(values, n0: int, q: int,
     for period in sorted(candidates):
         if 2 * period > len(values):
             continue
-        if is_periodic(values, n0, q, period):
+        if is_periodic(values, q, period):
             order = lcm(period, 8)
             per_residue = [None] * period
             for i, f in enumerate(values):

@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from . import anf, gf2x
-from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE, BudgetError,
+from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE,
                     FieldContext, _byte_tables, build_context)
 
 
@@ -65,44 +65,52 @@ def check_trace_addition_identities(ctx: FieldContext, r: int, a: int, b: int) -
     return lhs2 == rhs2 and lhs3 == rhs3
 
 
-@dataclass
-class TraceCensus:
-    """Exhaustive counts of elements of F_{2^(rn)} bucketed by trace values,
-    keyed by tuples of big-field bit patterns: (t1,) for `which='one'`,
-    (t1, t2) for 'two', (t1, t2, t3) for 'three'."""
-    r: int
-    n: int
-    which: str
-    counts: "CensusCounts"
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.hist.sum())
-
-    def get(self, key) -> int:
-        return self.counts.get(tuple(key), 0)
-
-    def rows(self):
-        """(t1_bits, t2_bits, t3_bits, count) rows in key (= code) order."""
-        for cols, counts in self.counts.blocks(3):
-            yield from zip(*cols, counts)
-
-
-class CensusCounts(Mapping):
-    """Read-only mapping, key of the first `depth` traces -> count, over the
-    histogram of their packed codes: the classes are its nonzero bins, keys
-    are decoded a block at a time in code order (by numpy byte tables of
-    `FieldContext.subfield_basis`), counts are Python ints."""
+class TraceCensus(Mapping):
+    """Exhaustive counts of the elements of F_{2^(rn)} by their first
+    `depth` traces relative to F_{2^r}, as a read-only mapping keyed by
+    tuples of big-field bit patterns: (t1,) at depth 1, (t1, t2) at 2,
+    (t1, t2, t3) at 3.  One sweep of the packed `FieldContext.subfield_code`s
+    (linear, checked) of the nonempty sums gives the histogram of their
+    codes: the classes are its nonzero bins, keys are decoded a block at a
+    time in code order (by numpy byte tables of `FieldContext.subfield_basis`),
+    counts are Python ints, and `get` gives 0 for an absent class."""
 
     BLOCK = 1 << 16
 
-    def __init__(self, r, n, depth, hist):
+    def __init__(self, r, n, depth, cap):
+        anf.check_sweep(r * n, cap)
         ctx = build_context(r * n)
         self._r, self._depth, self._active = r, depth, min(depth, n)
-        self._code = ctx.subfield_code(r)
+        self._code = code = ctx.subfield_code(r)
         self._element = [np.array(t, dtype=np.min_scalar_type(ctx.order - 1))
                          for t in _byte_tables(ctx.subfield_basis(r))]
-        self.hist, self._len = hist, int(np.count_nonzero(hist))
+
+        def key(x):
+            t = trace_triple(ctx, r, x)
+            k = 0
+            for i in range(self._active):
+                k = k << r | code(t[i])
+            return k
+
+        self._hist = anf.sweep(r * n, key, self._active)
+        self._len = int(np.count_nonzero(self._hist))
+
+    @property
+    def counts(self):
+        """The census itself, under the name the benchmark harness reads."""
+        return self
+
+    @property
+    def total(self) -> int:
+        return int(self._hist.sum())
+
+    def get(self, key, default=0):
+        return super().get(key, default)
+
+    def rows(self):
+        """(t1_bits, t2_bits, t3_bits, count) rows in key (= code) order."""
+        for cols, counts in self._blocks(3):
+            yield from zip(*cols, counts)
 
     def __getitem__(self, key):
         try:
@@ -110,8 +118,8 @@ class CensusCounts(Mapping):
                 packed = 0
                 for t in key[:self._active]:
                     packed = packed << self._r | self._code(t)
-                if packed < self.hist.size and self.hist[packed]:
-                    return int(self.hist[packed])
+                if packed < self._hist.size and self._hist[packed]:
+                    return int(self._hist[packed])
         except (TypeError, AssertionError):  # not a key; not in the subfield
             pass
         raise KeyError(key)
@@ -120,26 +128,26 @@ class CensusCounts(Mapping):
         return self._len
 
     def __iter__(self):
-        for cols, _ in self.blocks(self._depth):
+        for cols, _ in self._blocks(self._depth):
             yield from zip(*cols)
 
     def items(self):
         return zip(self, self.values())
 
     def values(self):
-        for _, counts in self.blocks(0):
+        for _, counts in self._blocks(0):
             yield from counts
 
-    def blocks(self, width: int):
+    def _blocks(self, width: int):
         """Per block of bins, `width` lists of the traces of its classes (0
         for the empty sums) and the list of their counts."""
         r, mask = self._r, (1 << self._r) - 1
-        for start in range(0, self.hist.size, self.BLOCK):
-            codes = np.flatnonzero(self.hist[start:start + self.BLOCK]) + start
+        for start in range(0, self._hist.size, self.BLOCK):
+            codes = np.flatnonzero(self._hist[start:start + self.BLOCK]) + start
             cols = [self._decode((codes >> s) & mask)
                     for s in range(r * (self._active - 1), -1, -r)[:width]]
             cols += [[0] * codes.size] * (width - len(cols))
-            yield cols, self.hist[codes].tolist()
+            yield cols, self._hist[codes].tolist()
 
     def _decode(self, codes: np.ndarray) -> list:
         """The elements of an array of r-bit codes."""
@@ -150,37 +158,17 @@ class CensusCounts(Mapping):
 _WHICH_DEPTH = {"one": 1, "two": 2, "three": 3}
 
 
-def _census_counts(r: int, n: int, depth: int, cap: int) -> CensusCounts:
-    """Classes of the first `depth` traces by one sweep of the packed
-    `FieldContext.subfield_code`s (linear, checked) of the nonempty sums."""
-    m = r * n
-    anf.check_sweep(m, cap)
-    ctx = build_context(m)
-    code = ctx.subfield_code(r)
-    active = range(min(depth, n))
-
-    def key(x):
-        t = trace_triple(ctx, r, x)
-        k = 0
-        for i in active:
-            k = k << r | code(t[i])
-        return k
-
-    return CensusCounts(r, n, depth, anf.sweep(m, key, len(active)))
-
-
 def trace_census(r: int, n: int, which: str = "three",
                  cap: int = DEFAULT_ENUM_CAP) -> TraceCensus:
     """Census of F_{2^(rn)} by the first traces relative to F_{2^r}: one
     chunked sweep into 2^(r min(n, depth)) counts, kept as one array."""
-    return TraceCensus(r, n, which,
-                       _census_counts(r, n, _WHICH_DEPTH[which], cap))
+    return TraceCensus(r, n, _WHICH_DEPTH[which], cap)
 
 
 def trace_class_count(r: int, n: int, traces, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of elements of F_{2^(rn)} whose first traces are `traces`, as
     big-field bit patterns; 0 off the subfield or nonzero on an empty sum."""
-    return _census_counts(r, n, len(traces), cap).get(tuple(traces), 0)
+    return TraceCensus(r, n, len(traces), cap).get(traces)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +449,9 @@ def irreducible_mask(r: int, low) -> np.ndarray:
     return _rabin_lanes(build_context(r), low)
 
 
-def _check_prefix(r: int, n: int, prefix, budget: int) -> int:
-    """q = 2^r after checking a prefix count's inputs, before any work."""
+def _check_prefix(r: int, n: int, prefix, cap: int) -> int:
+    """q = 2^r after checking a prefix count's inputs, before any work: the
+    q^(n-3) = 2^(r(n-3)) candidates are refused as a sweep of that size."""
     if not 1 <= r <= MAX_DEGREE:
         raise ValueError(f"need 1 <= r <= {MAX_DEGREE}, got r = {r}")
     if n < 3:
@@ -470,13 +459,12 @@ def _check_prefix(r: int, n: int, prefix, budget: int) -> int:
     q = 1 << r
     if any(not 0 <= t < q for t in prefix):
         raise ValueError(f"prescribed coefficients must lie in 0..{q - 1}")
-    if q ** (n - 3) > budget:
-        raise BudgetError(f"{q}^{n - 3} candidates exceed budget {budget}")
+    anf.check_sweep(r * (n - 3), cap)
     return q
 
 
 def count_irreducibles_with_prefix(r: int, n: int, t1: int, t2: int, t3: int,
-                                   budget: int = 1 << 22) -> int:
+                                   cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of monic irreducible degree-n polynomials over F_{2^r} whose
     coefficients of x^(n-1), x^(n-2), x^(n-3) are t1, t2, t3.
 
@@ -485,7 +473,7 @@ def count_irreducibles_with_prefix(r: int, n: int, t1: int, t2: int, t3: int,
     low coefficients, and `irreducible_mask` tests a block at once.  Above
     LOG_MAX_DEGREE each candidate goes through `is_irreducible`.
     """
-    q = _check_prefix(r, n, (t1, t2, t3), budget)
+    q = _check_prefix(r, n, (t1, t2, t3), cap)
     free = n - 3
     top = (t3, t2, t1)
     if r > LOG_MAX_DEGREE:

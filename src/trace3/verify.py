@@ -6,7 +6,8 @@ Each check produces one record
     {id, params, expected, got, pass, failures}
 summarizing its cases; `failures` lists the first few mismatches.  One
 rule, `budget_rule`, maps the bit budget to every check's ranges and trial
-counts: cases beyond the budget are scaled down or skipped, not failed.
+counts: cases beyond the budget are scaled down or skipped, not failed,
+but a record left with no case at all fails, since it checked nothing.
 """
 
 import random
@@ -81,7 +82,7 @@ class _Collector:
             "params": self.params,
             "expected": self.expected,
             "got": f"{self.cases - len(self.failures)}/{self.cases} cases equal",
-            "pass": not self.failures,
+            "pass": self.cases > 0 and not self.failures,
             "failures": self.failures[:5],
         }
 
@@ -161,7 +162,7 @@ def check_census_marginals(max_bits):
         for n in range(3, bits // r + 1):
             census = traces.trace_census(r, n, "three")
             col.equal(1 << r * n, census.total, f"r={r} n={n} total")
-            zero_t1 = sum(c for (t1, _, _), c in census.counts.items() if t1 == 0)
+            zero_t1 = sum(c for (t1, _, _), c in census.items() if t1 == 0)
             col.equal(1 << r * (n - 1), zero_t1, f"r={r} n={n} t1=0 marginal")
     return [col.record()]
 

@@ -130,7 +130,8 @@ def test_census_counts_is_read_only_mapping():
         with pytest.raises(KeyError):
             counts[missing]
         assert missing not in counts
-        assert counts.get(missing) is None
+        assert counts.get(missing) == 0
+        assert counts.get(missing, None) is None
     assert keys[0] in counts
     assert dict(counts.items()) == {key: counts[key] for key in keys}
     with pytest.raises(TypeError):

@@ -223,15 +223,37 @@ def test_count_irreducibles(capsys):
     (("--q", "0", "--n", "5"), "error: q must be a power of two"),
     (("--q", "2", "--n", "2"),
      "error: need degree >= 3 to prescribe three coefficients"),
-    (("--q", "2", "--n", "40"),
-     "budget error: 2^37 candidates exceed budget 67108864"),
-    (("--q", "4", "--n", "17", "--max-bits", "27"),
-     "budget error: 4^14 candidates exceed budget 134217728"),
+    # the q^(n-3) = 2^(r(n-3)) candidates meet `anf.check_sweep`: the
+    # budget first, then the 2^32 limit of every exhaustive count; the two
+    # budget cases keep their names, which count candidates, not bits
+    pytest.param(("--q", "2", "--n", "40"),
+                 "budget error: 2^37 elements exceed enumeration cap 2^26",
+                 id="argv5-budget error: 2^37 candidates exceed budget 67108864"),
+    pytest.param(("--q", "4", "--n", "17", "--max-bits", "27"),
+                 "budget error: 2^28 elements exceed enumeration cap 2^27",
+                 id="argv6-budget error: 4^14 candidates exceed budget 134217728"),
+    (("--q", "2", "--n", "40", "--max-bits", "40"),
+     "error: sweeps cover at most 2^32 inputs; m = 37 > 32"),
 ])
 def test_count_irreducibles_rejects_bad_input(capsys, argv, message):
     code, out, err = run_cli(capsys, "count-irreducibles", *argv)
     assert code == 2 and out == ""
     assert err == message + "\n"
+
+
+def test_prefix_budget_is_compared_in_bits():
+    # neither the budget nor q^(n-3) is built as an integer: a huge
+    # --max-bits answers as the default does, a huge q^(n-3) is refused
+    proc = run_capped("--max-bits", "100000000000", "count-irreducibles",
+                      "--q", "2", "--n", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run_capped("count-irreducibles", "--q", "2",
+                                     "--n", "5").stdout
+    proc = run_capped("count-irreducibles", "--q", "18446744073709551616",
+                      "--n", "100000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("budget error: 2^6399999808 elements exceed "
+                           "enumeration cap 2^26\n")
 
 
 def test_curve_count_all_methods(capsys):

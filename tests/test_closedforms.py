@@ -54,7 +54,7 @@ def test_three_trace_rows_spot_values():
     assert cf.three_trace_deviation(3, 1, 1, 1) == 0
 
 
-@pytest.mark.parametrize("n", range(3, 17))
+@pytest.mark.parametrize("n", range(3, 27))  # one full period of both tables
 def test_three_trace_vs_census(n):
     census = trace_census(1, n, "three")
     for t1 in (0, 1):
@@ -100,11 +100,13 @@ def test_formula_objects_match_rows_over_full_period():
             f = cf.two_trace_formula(t1, t2)
             for n in range(2, 2 + 16):
                 assert deviation(f, n) == cf.two_trace_deviation(n, t1, t2)
-    for t2 in (0, 1):
-        for t3 in (0, 1):
-            f = cf.three_trace_formula(0, t2, t3)
-            for n in range(3, 3 + 48):
-                assert deviation(f, n) == cf.three_trace_deviation(n, 0, t2, t3)
+    for t1 in (0, 1):
+        for t2 in (0, 1):
+            for t3 in (0, 1):
+                f = cf.three_trace_formula(t1, t2, t3)
+                for n in range(3, 101):
+                    assert (deviation(f, n)
+                            == cf.three_trace_deviation(n, t1, t2, t3))
 
 
 def test_trace_one_formula_coefficients_conjugate_symmetric():
@@ -146,8 +148,8 @@ def test_normalized_deviation_periodicity():
     for r in (1, 2):
         q = 1 << r
         for n in range(3, 100):
-            a = cf.all_zero_deviation(r, n)
-            b = cf.all_zero_deviation(r, n + 24)
+            a = cf.ALL_ZERO_TABLE.deviation(r, n)
+            b = cf.ALL_ZERO_TABLE.deviation(r, n + 24)
             assert b == a * q ** 12
 
 

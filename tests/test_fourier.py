@@ -5,10 +5,10 @@ from math import gcd
 import pytest
 
 from trace3 import closedforms as cf
-from trace3.cyclotomic import (Cyc, cyclotomic_polynomial, embed,
-                               imaginary_unit, sqrt2, sqrt2_power)
-from trace3.fourier import (analyze_sequence, deviation, dft_extract,
-                            is_periodic, reconstruct)
+from trace3.cyclotomic import (Cyc, cyclotomic_polynomial, imaginary_unit,
+                               sqrt2, sqrt2_power)
+from trace3.fourier import (PeriodicFormula, analyze_sequence, deviation,
+                            dft_extract, is_periodic, reconstruct)
 from trace3.traces import trace_census
 
 
@@ -50,11 +50,18 @@ def test_conjugation_and_rationality():
         z.as_rational()
 
 
-def test_embed():
+def test_periodic_formula_works_at_one_order():
+    # L = lcm(P, 8), derived from the period; an element of another order
+    # is not embedded, and fails as mixed-order arithmetic does
+    assert [PeriodicFormula(p, [0] * p).order for p in (1, 8, 12, 24)] \
+        == [8, 8, 24, 24]
     z8 = Cyc.zeta_pow(8, 1)
-    z24 = Cyc.zeta_pow(24, 3)
-    assert embed(z8, 24) == z24
-    assert embed(sqrt2(8), 24) == sqrt2(24)
+    formula = PeriodicFormula(12, [z8] + [0] * 11)
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        formula.normalized_value(1)
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        dft_extract([sqrt2(8)] + [0] * 11, 12)
+    assert formula != PeriodicFormula(12, [Cyc.zeta_pow(24, 3)] + [0] * 11)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +96,7 @@ def _ref_monomial(p, k):
 
 def _ref_substitute(p, coords, k):
     """Fraction coordinates of sum_j coords[j] z^(jk) modulo Phi_p: the
-    conjugate for k = -1, the embedding of an element of Q(zeta_(p/k))
-    for k dividing p."""
+    conjugate for k = -1."""
     poly = [Fraction(0)] * p
     for j, c in enumerate(coords):
         poly[(j * k) % p] += c
@@ -139,9 +145,6 @@ def test_cyc_matches_fraction_reference(p):
         assert x + y - y == x and hash(x + y - y) == hash(x)
         for k in (-2 * p - 1, -3, -1, 0, 1, p + 2):
             _check(Cyc.zeta_pow(p, k), _ref_monomial(p, k))
-        for m in (1, 2, 3, 5):
-            if p * m <= 120:
-                _check(embed(x, p * m), _ref_substitute(p * m, a, m))
         value = Fraction(rng.randrange(-50, 51), rng.randrange(1, 50))
         rat = Cyc.rational(p, value)
         _check(rat, [value] + [0] * (d - 1))
@@ -253,10 +256,10 @@ def test_parseval():
 
 def test_is_periodic_exact():
     values = [1, 0, -2, 0, 4, 0, -8, 0]  # v_n = f/2^(n/2) has period 4, n0 = 0
-    assert is_periodic(values, 0, 2, 4)
-    assert not is_periodic(values, 0, 2, 2)  # signs alternate
-    assert is_periodic([1, 1, 2, 2, 4, 4, 8, 8], 0, 2, 2)
-    assert not is_periodic([1, 1, 2, 3, 4, 4, 8, 8], 0, 2, 2)
+    assert is_periodic(values, 2, 4)
+    assert not is_periodic(values, 2, 2)  # signs alternate
+    assert is_periodic([1, 1, 2, 2, 4, 4, 8, 8], 2, 2)
+    assert not is_periodic([1, 1, 2, 3, 4, 4, 8, 8], 2, 2)
 
 
 def test_analyze_census_data_period_8():

@@ -132,6 +132,6 @@ def test_odd_exponent_is_refused():
 
 def test_negative_exponent_is_exact():
     # F000 at n = 1, 2 passes through q^(-k): still exact
-    dev = cf.all_zero_deviation(3, 1)
+    dev = cf.ALL_ZERO_TABLE.deviation(3, 1)
     assert dev == Fraction(63, 64) and cf.count_all_zero_traces(3, 1) == 1
     assert residues.evaluate((-1, "(q-1)", -4, 0), 1, 2) == Fraction(-1, 2)

@@ -1,10 +1,12 @@
 """The one budget rule of `verify` and the helpers its checks share."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from trace3 import closedforms, curves, verify
+from trace3.cli import main
 
 CHECK_NAMES = [check.__name__[len("check_"):]
                for checks in verify._SUITE_CHECKS.values() for check in checks]
@@ -89,3 +91,14 @@ def test_non_integral_pipeline_value_is_a_failed_case(monkeypatch):
         in rec["failures"]
     (rec,) = verify.check_pipeline_identity(4)
     assert not rec["pass"] and rec["got"].endswith("/600 cases equal")
+
+
+def test_a_record_without_cases_fails(capsys):
+    # at --max-bits 2 some capped checks have no case within the budget:
+    # their records fail, where they used to pass "0/0 cases equal"
+    assert verify._Collector("empty", {}).record()["pass"] is False
+    code = main(["verify", "--suite", "all", "--max-bits", "2"])
+    report = json.loads(capsys.readouterr().out)
+    empty = [rec for rec in report["checks"] if rec["got"] == "0/0 cases equal"]
+    assert code == 1 and empty
+    assert [rec for rec in report["checks"] if not rec["pass"]] == empty
