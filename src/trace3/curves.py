@@ -120,7 +120,7 @@ def count_points_oracle(spec: CurveSpec, n: int,
         fiber = 2
         alpha = ctx.embed_subfield(spec.r)(spec.alpha)
         func = lambda x: ctx.absolute_trace(ctx.mul(alpha, rhs(x)))
-    return fiber * int(anf.sweep(m, func, 2)[0]) + 1
+    return fiber * int(anf.sweep(m, anf.elementwise(func), 2)[0]) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ contexts must not be mixed.  Addition is xor, zero is 0, one is 1.
 from functools import partial
 
 import numpy as np
+from numpy import ndarray
 
 from . import gf2x
 
 MAX_DEGREE = 64
 DEFAULT_ENUM_CAP = 26
 LOG_MAX_DEGREE = 16  # mul by log/antilog lists up to here, windowed above
+MAX_SWEEP_BITS = 32  # widest field of sweeps and of uint64 lane products
 
 
 def _span(images: list) -> list:
@@ -33,12 +35,13 @@ def _byte_tables(images: list) -> list:
     return [_span(images[lo:lo + 8]) for lo in range(0, len(images), 8)]
 
 
-def _apply(tables: list, a: int) -> int:
-    """The image of a under a map given by `_byte_tables`."""
+def _apply(tables: list, a):
+    """The image of a under a map given by `_byte_tables`: of an int, or of
+    each lane of a uint64 array when the tables are numpy arrays."""
     r = 0
     for table in tables:
         r ^= table[a & 0xFF]
-        a >>= 8
+        a = a >> 8
     return r
 
 
@@ -77,7 +80,7 @@ class FieldContext:
 
     Every operation runs on tables that depend only on m (and on k for
     Frobenius^k, on r for the trace to F_{2^r}), never on the operands.
-    There are three kernels:
+    There are four kernels:
 
     - GF(2)-linear maps (squaring, Frobenius^k, relative traces, the
       trace dual) are byte-sliced tables (`_byte_tables`), so a map costs
@@ -92,6 +95,14 @@ class FieldContext:
       over b against the 16 multiples of a, then reduces the high half
       8 bits at a time with a table of the multiples of the modulus by
       t * x^m, t < 256, built on the first `mul`.
+    - Lanes: `mul`, `sqr`, `frobenius` and `subfield_element` also take
+      uint64 arrays (one operand of `mul` may be an int), for
+      m <= MAX_SWEEP_BITS, so that a product fits a lane; ValueError
+      above.  `mul` is the windowed product at every such m, each lane
+      gathering its multiple of a per 4 bits of b, reduced through a
+      uint64 copy of the same table; a linear map indexes uint64 copies of
+      its byte tables, made on first use and kept on the context (numpy
+      1.x turns a mix of uint64 and int64 into float64).
 
     The subfield F_{2^r} is r ints, the reduced echelon basis of the kernel
     of a -> a^(2^r) + a by `kernel_basis` (the elimination that also gives
@@ -118,9 +129,10 @@ class FieldContext:
         self._trace = {}                  # r -> tables of Tr_{m/r}
         self._trace_dual = None           # tables of c -> (Tr(c x^j))_j
         self._exp_log = None              # (antilog, log), m <= LOG_MAX_DEGREE
-        self._reduce = None               # reduction table, m > LOG_MAX_DEGREE
+        self._reduce = None               # reduction table (list, uint64 array)
+        self._lane_maps = {}              # id(tables) -> (tables, numpy copies)
         self._lanes = None                # numpy (exp, log, sqr) arrays
-        self._subfields = {}              # r -> subfield_basis(r)
+        self._subfields = {}              # r -> (subfield_basis(r), its tables)
         self._embeddings = {}             # r -> tables of embed_subfield(r)
         # high-half bytes of a product of degree <= 2m - 2, top one first
         self._reduce_shifts = tuple(range(8 * ((m - 2) // 8), -1, -8))
@@ -137,7 +149,9 @@ class FieldContext:
     def __hash__(self):
         return hash(("FieldContext", self.m))
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
+        if type(a) is ndarray or type(b) is ndarray:
+            return self._mul_lanes(a, b)
         if not (a and b):
             return 0
         if self.m > LOG_MAX_DEGREE:
@@ -160,19 +174,44 @@ class FieldContext:
             r ^= multiples[b & 15] << shift
             b >>= 4
             shift += 4
-        reduce = self._reduce or self._build_reduce()
+        reduce = (self._reduce or self._build_reduce())[0]
         m = self.m
         for shift in self._reduce_shifts:
             # higher bytes are already clear, so r >> (m + shift) < 256
             r ^= reduce[r >> (m + shift)] << shift
         return r
 
-    def _build_reduce(self) -> list:
-        """Entry t: the multiple of the modulus whose bits from x^m up are t."""
+    def _mul_lanes(self, a, b):
+        """`_mul_window` lane by lane, for uint64 arrays (or an array and an
+        int) and m <= MAX_SWEEP_BITS."""
+        if self.m > MAX_SWEEP_BITS:
+            raise ValueError(f"lane products need m <= {MAX_SWEEP_BITS}, "
+                             f"m = {self.m}")
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64),
+                                   np.asarray(b, dtype=np.uint64))
+        shape, a, b = a.shape, a.ravel(), b.ravel()
+        multiples = np.zeros((16, a.size), dtype=np.uint64)
+        for i in range(4):  # row t: the carry-less product of a and t
+            multiples[1 << i:2 << i] = multiples[:1 << i] ^ a << i
+        lanes = np.arange(a.size)
+        r = multiples[b & 15, lanes]
+        for shift in range(4, self.m, 4):
+            r ^= multiples[b >> shift & 15, lanes] << shift
+        reduce = (self._reduce or self._build_reduce())[1]
+        m = self.m
+        for shift in self._reduce_shifts:  # as in `_mul_window`
+            r ^= reduce[r >> (m + shift)] << shift
+        return r.reshape(shape)
+
+    def _build_reduce(self) -> tuple:
+        """Entry t: the multiple of the modulus whose bits from x^m up are t;
+        as a list and, for lanes (m <= MAX_SWEEP_BITS), a uint64 array."""
         m, f = self.m, self.modulus
-        self._reduce = table = _span(
+        table = _span(
             [(1 << (m + i)) ^ gf2x.mod(1 << (m + i), f) for i in range(8)])
-        return table
+        lanes = None if m > MAX_SWEEP_BITS else np.array(table, np.uint64)
+        self._reduce = tables = (table, lanes)
+        return tables
 
     def _build_exp_log(self) -> tuple:
         """Antilog (twice over, so that log sums need no reduction) and log
@@ -217,8 +256,22 @@ class FieldContext:
         self._lanes = tables = (exp_np, log_np, sqr_np)
         return tables
 
-    def sqr(self, a: int) -> int:
-        return _apply(self._sqr, a)
+    def sqr(self, a):
+        return _apply(self._lane_map(self._sqr) if type(a) is ndarray
+                      else self._sqr, a)
+
+    def _lane_map(self, tables: list) -> list:
+        """uint64 numpy copies of byte tables, which `_apply` maps the lanes
+        of a uint64 array through; made on first use, m <= MAX_SWEEP_BITS."""
+        entry = self._lane_maps.get(id(tables))
+        if entry is None:
+            if self.m > MAX_SWEEP_BITS:
+                raise ValueError(f"lane maps need m <= {MAX_SWEEP_BITS}, "
+                                 f"m = {self.m}")
+            # kept with its copies, the list keeps its id
+            entry = self._lane_maps[id(tables)] = (
+                tables, [np.array(t, dtype=np.uint64) for t in tables])
+        return entry[1]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -236,12 +289,14 @@ class FieldContext:
             a = self.sqr(a)
         return r
 
-    def frobenius(self, a: int, k: int) -> int:
+    def frobenius(self, a, k: int):
         """a^(2^k), with k reduced modulo m."""
         k %= self.m
         if not k:
             return a
-        return _apply(self._frobenius.get(k) or self._frobenius_tables(k), a)
+        tables = self._frobenius.get(k) or self._frobenius_tables(k)
+        return _apply(self._lane_map(tables) if type(a) is ndarray
+                      else tables, a)
 
     def _frobenius_tables(self, k: int) -> list:
         """Tables of a -> a^(2^k), 0 < k < m: Frobenius^(k - k//2), then
@@ -292,25 +347,30 @@ class FieldContext:
             [hankel >> i & self.order - 1 for i in range(self.m)])
         return tables
 
-    def is_in_subfield(self, a: int, r: int) -> bool:
-        """True iff a lies in F_{2^r} inside F_{2^m}; requires r | m."""
-        if self.m % r:
-            raise ValueError(f"{r} does not divide {self.m}")
-        return self.frobenius(a, r) == a
-
     def subfield_basis(self, r: int) -> tuple:
         """The kernel of a -> a^(2^r) + a by `kernel_basis`, reduced and
         ascending: the element of code c, the xor of basis[j] over the bits
         j of c, increases with c."""
-        basis = self._subfields.get(r)
-        if basis is None:
+        return self._subfield(r)[0]
+
+    def _subfield(self, r: int) -> tuple:
+        """(subfield_basis(r), its byte tables)."""
+        entry = self._subfields.get(r)
+        if entry is None:
             if self.m % r:
                 raise ValueError(f"{r} does not divide {self.m}")
             kernel, _ = kernel_basis([self.frobenius(1 << i, r) ^ 1 << i
                                       for i in range(self.m)])
             assert len(kernel) == r, (self.m, r, len(kernel))
-            basis = self._subfields[r] = tuple(kernel)
-        return basis
+            entry = self._subfields[r] = (tuple(kernel), _byte_tables(kernel))
+        return entry
+
+    def subfield_element(self, r: int, c):
+        """The element of code c in F_{2^r} (`subfield_basis`), for an int c
+        or each lane of a uint64 array."""
+        tables = self._subfield(r)[1]
+        return _apply(self._lane_map(tables) if type(c) is ndarray
+                      else tables, c)
 
     def subfield_elements(self, r: int) -> list:
         """All 2^r elements of F_{2^r} inside this field, ascending: entry
@@ -319,17 +379,16 @@ class FieldContext:
 
     def subfield_code(self, r: int):
         """v -> code of v (its index in `subfield_elements(r)`): the bits of
-        v at the leading bits of `subfield_basis(r)`, a GF(2)-linear map;
-        AssertionError for v outside F_{2^r}."""
-        basis = self.subfield_basis(r)
-        pivots = [b.bit_length() - 1 for b in basis]
-        element = _byte_tables(basis)
+        v at the leading bits of `subfield_basis(r)`, a GF(2)-linear map, of
+        an int or of each lane of a uint64 array; AssertionError for v
+        outside F_{2^r}."""
+        pivots = [b.bit_length() - 1 for b in self.subfield_basis(r)]
 
-        def code(v: int) -> int:
+        def code(v):
             c = 0
             for j, p in enumerate(pivots):
                 c |= ((v >> p) & 1) << j
-            if _apply(element, c) != v:
+            if np.count_nonzero(self.subfield_element(r, c) ^ v):
                 raise AssertionError("swept values left the subfield")
             return c
         return code
@@ -345,9 +404,9 @@ class FieldContext:
         byte tables of the root's first r powers."""
         tables = self._embeddings.get(r)
         if tables is None:
-            element = partial(_apply, _byte_tables(self.subfield_basis(r)))
             small_mod = gf2x.canonical_modulus(r)
-            for root in map(element, range(1 << r)):
+            for root in map(partial(_apply, self._subfield(r)[1]),
+                            range(1 << r)):
                 value = 1
                 for i in range(r - 1, -1, -1):
                     value = self.mul(value, root) ^ (small_mod >> i & 1)

@@ -158,7 +158,7 @@ def _arf_invariant(qf: QuadForm, image, complement) -> int:
 def count_zeros_oracle(qf: QuadForm, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exhaustive zero count of Q over F_{2^m}."""
     anf.check_sweep(qf.m, cap)
-    return int(anf.sweep(qf.m, qf.func, 2)[0])
+    return int(anf.sweep(qf.m, anf.elementwise(qf.func), 2)[0])
 
 
 def expected_radical_dimension(family: int, r: int, n: int, klass: str) -> int:
@@ -185,7 +185,8 @@ def _cubic_fiber_counts(r: int):
     from one vectorized pass over the fibers of x -> x^3 + x (a map of
     bit-degree 2, so the low-degree sweep applies)."""
     ctx = build_context(r)
-    counts = anf.sweep(r, lambda x: ctx.mul(ctx.sqr(x), x) ^ x, 2).tolist()
+    counts = anf.sweep(r, anf.elementwise(lambda x: ctx.mul(ctx.sqr(x), x) ^ x),
+                       2).tolist()
     return counts + [0] * (ctx.order - len(counts))
 
 

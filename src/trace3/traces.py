@@ -13,23 +13,24 @@ the reference, and the route for larger fields.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from . import anf, gf2x
 from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE,
-                    FieldContext, _byte_tables, build_context)
+                    FieldContext, build_context)
 
 
-def trace_triple(ctx: FieldContext, r: int, a: int):
+def trace_triple(ctx: FieldContext, r: int, a):
     """(T1, T2, T3) of a relative to F_{2^r}: the coefficients of
     x^(n-1), x^(n-2), x^(n-3) in prod_{i<n} (x + a^(2^(ri))), n = m/r.
 
     Computed as an incremental product of the conjugate linear factors,
     keeping only the top four coefficients (O(n) multiplications).  Missing
-    traces for n < 3 are empty sums, hence 0.
+    traces for n < 3 are empty sums, hence 0.  a is an int, or a uint64
+    array whose lanes go through the field's lane kernels (m <= 32).
     """
     if ctx.m % r:
         raise ValueError(f"{r} does not divide {ctx.m}")
@@ -65,6 +66,24 @@ def check_trace_addition_identities(ctx: FieldContext, r: int, a: int, b: int) -
     return lhs2 == rhs2 and lhs3 == rhs3
 
 
+def _census_key(r: int, n: int, active: int, cap: int):
+    """(pack, key) for the first `active` traces relative to F_{2^r} in
+    F_{2^(rn)}, after checking the sweep: pack maps traces to their packed
+    `FieldContext.subfield_code`s, first trace highest (AssertionError off
+    the subfield), and key(x) = pack(trace_triple(x)), for an int x or a
+    uint64 array."""
+    anf.check_sweep(r * n, cap)
+    ctx = build_context(r * n)
+    code = ctx.subfield_code(r)
+
+    def pack(traces):
+        k = 0
+        for t in traces[:active]:
+            k = k << r | code(t)
+        return k
+    return pack, lambda x: pack(trace_triple(ctx, r, x))
+
+
 class TraceCensus(Mapping):
     """Exhaustive counts of the elements of F_{2^(rn)} by their first
     `depth` traces relative to F_{2^r}, as a read-only mapping keyed by
@@ -72,26 +91,16 @@ class TraceCensus(Mapping):
     (t1, t2, t3) at 3.  One sweep of the packed `FieldContext.subfield_code`s
     (linear, checked) of the nonempty sums gives the histogram of their
     codes: the classes are its nonzero bins, keys are decoded a block at a
-    time in code order (by numpy byte tables of `FieldContext.subfield_basis`),
-    counts are Python ints, and `get` gives 0 for an absent class."""
+    time in code order (by `FieldContext.subfield_element` on the lanes of
+    an array), counts are Python ints, and `get` gives 0 for an absent
+    class."""
 
     BLOCK = 1 << 16
 
     def __init__(self, r, n, depth, cap):
-        anf.check_sweep(r * n, cap)
-        ctx = build_context(r * n)
         self._r, self._depth, self._active = r, depth, min(depth, n)
-        self._code = code = ctx.subfield_code(r)
-        self._element = [np.array(t, dtype=np.min_scalar_type(ctx.order - 1))
-                         for t in _byte_tables(ctx.subfield_basis(r))]
-
-        def key(x):
-            t = trace_triple(ctx, r, x)
-            k = 0
-            for i in range(self._active):
-                k = k << r | code(t[i])
-            return k
-
+        self._pack, key = _census_key(r, n, self._active, cap)
+        self._element = build_context(r * n).subfield_element
         self._hist = anf.sweep(r * n, key, self._active)
         self._len = int(np.count_nonzero(self._hist))
 
@@ -115,9 +124,7 @@ class TraceCensus(Mapping):
     def __getitem__(self, key):
         try:
             if len(key) == self._depth and not any(key[self._active:]):
-                packed = 0
-                for t in key[:self._active]:
-                    packed = packed << self._r | self._code(t)
+                packed = self._pack(key)
                 if packed < self._hist.size and self._hist[packed]:
                     return int(self._hist[packed])
         except (TypeError, AssertionError):  # not a key; not in the subfield
@@ -143,16 +150,12 @@ class TraceCensus(Mapping):
         for the empty sums) and the list of their counts."""
         r, mask = self._r, (1 << self._r) - 1
         for start in range(0, self._hist.size, self.BLOCK):
-            codes = np.flatnonzero(self._hist[start:start + self.BLOCK]) + start
-            cols = [self._decode((codes >> s) & mask)
+            codes = (np.flatnonzero(self._hist[start:start + self.BLOCK])
+                     + start).astype(np.uint64)
+            cols = [self._element(r, codes >> s & mask).tolist()
                     for s in range(r * (self._active - 1), -1, -r)[:width]]
             cols += [[0] * codes.size] * (width - len(cols))
             yield cols, self._hist[codes].tolist()
-
-    def _decode(self, codes: np.ndarray) -> list:
-        """The elements of an array of r-bit codes."""
-        return reduce(np.bitwise_xor, (t[codes >> 8 * j & 0xFF] for j, t
-                                       in enumerate(self._element))).tolist()
 
 
 _WHICH_DEPTH = {"one": 1, "two": 2, "three": 3}
@@ -167,8 +170,19 @@ def trace_census(r: int, n: int, which: str = "three",
 
 def trace_class_count(r: int, n: int, traces, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of elements of F_{2^(rn)} whose first traces are `traces`, as
-    big-field bit patterns; 0 off the subfield or nonzero on an empty sum."""
-    return TraceCensus(r, n, len(traces), cap).get(traces)
+    big-field bit patterns; 0 off the subfield or nonzero on an empty sum.
+    Each chunk of the census key is compared with the packed target, so no
+    histogram of the classes is built."""
+    active = min(len(traces), n)
+    pack, key = _census_key(r, n, active, cap)
+    try:
+        if any(traces[active:]):
+            return 0
+        target = pack(traces)
+    except AssertionError:  # a trace outside F_{2^r}
+        return 0
+    _, chunks = anf.sweep_chunks(r * n, key, active)
+    return sum(int(np.count_nonzero(values == target)) for values in chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,10 @@ def monomial_map(m, degree, width, seed):
     for mask, value in coeffs.items():
         direct[(x & mask) == mask] ^= np.uint64(value)
 
-    def func(v):
-        out = 0
+    def func(v):  # a uint64 array of inputs, as sweeps pass them
+        out = np.zeros_like(v)
         for mask, value in coeffs.items():
-            if v & mask == mask:
-                out ^= value
+            out[v & mask == mask] ^= value
         return out
     return func, direct
 
@@ -64,7 +63,7 @@ def test_histogram_matches_direct_evaluation(m, degree, width):
 
 
 def test_histogram_of_field_map_across_chunks():
-    # x -> x^3 + x, the cubic fibers' map, evaluated element by element
+    # x -> x^3 + x, the cubic fibers' map: swept on lanes, listed on ints
     m = CHUNK_BITS + 1
     ctx = build_context(m)
     func = lambda x: ctx.mul(ctx.sqr(x), x) ^ x  # noqa: E731
@@ -73,14 +72,15 @@ def test_histogram_of_field_map_across_chunks():
 
 
 def test_histogram_wider_than_chunk():
-    # a width above CHUNK_BITS widens the chunk, so the histogram of
-    # 2^width counts never exceeds it; m is wider still, so it splits
+    # a width above CHUNK_BITS leaves the chunks at 2^CHUNK_BITS inputs:
+    # `sweep` gathers them 2^width at a time before counting
     width = CHUNK_BITS + 2
     m = width + 1
     func, direct = monomial_map(m, 2, width, seed=7)
     got_width, chunks = chunk_values(m, func, 2)
     assert got_width == width
-    assert [values.size for values in chunks] == [1 << width] * 2
+    assert [values.size for values in chunks] == [1 << CHUNK_BITS] * (
+        1 << (m - CHUNK_BITS))
     assert np.array_equal(np.concatenate(chunks), direct)
     assert np.array_equal(sweep(m, func, 2),
                           np.bincount(direct.astype(np.int64),
@@ -89,8 +89,9 @@ def test_histogram_wider_than_chunk():
 
 @pytest.mark.parametrize("m", [8, CHUNK_BITS + 1])
 def test_spot_check_rejects_map_above_its_degree(m):
-    # bit 2 of the popcount is the degree-4 symmetric polynomial
-    func = lambda x: bin(x).count("1") >> 2 & 1  # noqa: E731
+    # bit 2 of the popcount is the degree-4 symmetric polynomial; func
+    # takes an int or a uint64 array of inputs
+    func = lambda x: sum(x >> i & 1 for i in range(m)) >> 2 & 1  # noqa: E731
     with pytest.raises(AssertionError, match="exceeds GF\\(2\\)-degree 3"):
         sweep(m, func, 3)
     assert sweep(m, func, 4).tolist() == np.bincount(

@@ -184,6 +184,61 @@ def test_lane_tables_match_mul(m):
         FieldContext(17).lane_tables()
 
 
+def _lane_samples(ctx, rng, count):
+    """0, 1, 2^m - 1 and values with the top bit set, then random values."""
+    top = 1 << (ctx.m - 1)
+    return ([0, 1, ctx.order - 1, top, top | 1]
+            + [rng.randrange(ctx.order) | top for _ in range(count // 4)]
+            + [rng.randrange(ctx.order) for _ in range(count)])
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_lane_mul_matches_mul(m):
+    # lanes use the window at every m, ints the log tables up to m = 16
+    ctx = build_context(m)
+    rng = random.Random(m)
+    xs = _lane_samples(ctx, rng, 200)
+    ys = xs[:5] * (len(xs) // 5) + xs[:len(xs) % 5]
+    pairs = [(x, y) for x in xs[:5] for y in xs[:5]] + list(
+        zip(xs, ys[::-1])) + [(x, rng.randrange(ctx.order)) for x in xs]
+    a = np.array([x for x, _ in pairs], dtype=np.uint64)
+    b = np.array([y for _, y in pairs], dtype=np.uint64)
+    got = ctx.mul(a, b)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [ctx.mul(x, y) for x, y in pairs]
+    # an int operand on either side applies to every lane
+    y = xs[-1]
+    assert ctx.mul(a, y).tolist() == [ctx.mul(x, y) for x, _ in pairs]
+    assert ctx.mul(y, b).tolist() == [ctx.mul(y, x) for _, x in pairs]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 16, 17, 24, 31, 32])
+def test_lane_frobenius_matches_frobenius(m):
+    ctx = build_context(m)
+    rng = random.Random(m + 100)
+    xs = _lane_samples(ctx, rng, 100)
+    lanes = np.array(xs, dtype=np.uint64)
+    for k in {0, 1, m - 1, m, 2 * m + 3} | {rng.randrange(1, 4 * m + 1)
+                                              for _ in range(4)}:
+        got = ctx.frobenius(lanes, k)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [ctx.frobenius(x, k) for x in xs], k
+    assert ctx.sqr(lanes).tolist() == [ctx.sqr(x) for x in xs]
+    assert lanes.tolist() == xs  # the input lanes are left as they were
+
+
+def test_lane_kernels_stop_at_32_bits():
+    ctx = FieldContext(33)
+    lanes = np.array([1, 2], dtype=np.uint64)
+    with pytest.raises(ValueError, match="m <= 32"):
+        ctx.mul(lanes, lanes)
+    with pytest.raises(ValueError, match="m <= 32"):
+        ctx.mul(3, lanes)
+    with pytest.raises(ValueError, match="m <= 32"):
+        ctx.frobenius(lanes, 1)
+    assert ctx.mul(3, 5) == gf2x.mulmod(3, 5, ctx.modulus)
+
+
 def test_log_tables_trivial_group():
     # F_2: the multiplicative group is {1}, its primitive element is 1
     ctx = FieldContext(1)
@@ -341,15 +396,16 @@ def test_relative_trace_image_and_linearity(m, r):
         a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
         ta, tb = ctx.relative_trace(a, r), ctx.relative_trace(b, r)
         assert ctx.relative_trace(a ^ b, r) == ta ^ tb
-        assert ctx.is_in_subfield(ta, r)
+        assert ctx.frobenius(ta, r) == ta
         c = rng.choice(ctx.subfield_elements(r))
         assert ctx.relative_trace(ctx.mul(c, a), r) == ctx.mul(c, ta)
 
 
 def test_is_in_subfield():
+    # F_2 inside F_4: the fixed points of the Frobenius
     ctx = build_context(2)
-    assert ctx.is_in_subfield(0, 1) and ctx.is_in_subfield(1, 1)
-    assert not ctx.is_in_subfield(0b10, 1)
+    assert ctx.frobenius(0, 1) == 0 and ctx.frobenius(1, 1) == 1
+    assert ctx.frobenius(0b10, 1) != 0b10
 
 
 @pytest.mark.parametrize("m,r", [(4, 2), (6, 2), (6, 3), (8, 4), (12, 4)])
@@ -357,7 +413,7 @@ def test_subfield_elements_form_a_field(m, r):
     ctx = build_context(m)
     sub = ctx.subfield_elements(r)
     assert len(sub) == 1 << r
-    assert all(ctx.is_in_subfield(a, r) for a in sub)
+    assert all(ctx.frobenius(a, r) == a for a in sub)
     subset = set(sub)
     rng = random.Random(m + r)
     for _ in range(40):
@@ -422,14 +478,14 @@ def test_subfield_basis_is_sorted_reduced_and_inverts_the_code(m, r):
     assert len(basis) == r and list(basis) == sorted(basis)
     for a in basis:  # reduced: each leading bit is clear in the others
         assert not any(a >> b.bit_length() - 1 & 1 for b in basis if b != a)
-    assert all(ctx.is_in_subfield(b, r) for b in basis)
+    assert all(ctx.frobenius(b, r) == b for b in basis)
     code = ctx.subfield_code(r)
     rng = random.Random(m * 64 + r)
     for c in [0, (1 << r) - 1] + [rng.getrandbits(r) for _ in range(30)]:
         assert code(_images_of(basis, c)) == c
     if r < m:
         outside = next(v for v in range(ctx.order)
-                       if not ctx.is_in_subfield(v, r))
+                       if ctx.frobenius(v, r) != v)
         with pytest.raises(AssertionError):
             code(outside)
 

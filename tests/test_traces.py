@@ -1,4 +1,8 @@
+import os
 import random
+import resource
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 
@@ -7,7 +11,8 @@ import pytest
 
 from trace3 import gf2x, traces
 from trace3.anf import check_sweep, sweep_chunks
-from trace3.closedforms import gauss_count, irreducible_all_zero
+from trace3.closedforms import (count_all_zero_traces, gauss_count,
+                                irreducible_all_zero)
 from trace3.field import BudgetError, build_context
 from trace3.traces import (PrefixPoly, check_trace_addition_identities,
                            count_irreducibles_with_prefix, irreducible_mask,
@@ -117,6 +122,21 @@ def test_census_budget():
         trace_class_count(2, 10, (0, 0, 0), cap=16)
 
 
+@pytest.mark.parametrize("m", range(1, 33))
+def test_lane_trace_triple_matches_trace_triple(m):
+    ctx = build_context(m)
+    rng = random.Random(m)
+    xs = [0, 1, ctx.order - 1, 1 << (m - 1)] + [rng.randrange(ctx.order)
+                                                 for _ in range(30)]
+    lanes = np.array(xs, dtype=np.uint64)
+    for r in (r for r in range(1, m + 1) if m % r == 0):
+        got = trace_triple(ctx, r, lanes)
+        want = [trace_triple(ctx, r, x) for x in xs]
+        for i in range(3):
+            assert np.broadcast_to(got[i], lanes.shape).tolist() == [
+                t[i] for t in want], (r, i)
+
+
 def test_trace_class_count_consistency():
     census = trace_census(2, 4, "three")
     for key, count in census.counts.items():
@@ -134,7 +154,7 @@ def reference_census(r, n, which):
     depth = {"one": 1, "two": 2, "three": 3}[which]
     active = [i for i in range(depth) if i < n]
     key = np.zeros(ctx.order, dtype=np.uint64)
-    for i in active:
+    for i in active:  # each sweep passes trace_triple a uint64 array
         _, chunks = sweep_chunks(ctx.m, lambda x: trace_triple(ctx, r, x)[i],
                                  i + 1)
         values = np.concatenate([v.copy() for v in chunks])
@@ -193,9 +213,32 @@ def test_trace_class_count_edge_cases():
     assert trace_class_count(2, 3, ()) == 64
 
 
+def test_wide_class_count_builds_no_histogram_of_the_classes():
+    # w = 24 bits of packed codes: a 2^24-bin histogram with bincount's
+    # copy of it took 563 MB of address space (351 MB resident); comparing
+    # each 2^16-input chunk with the target fits a child capped at 256 MiB
+    cap = 256 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(traces.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    code = ("from trace3.traces import trace_class_count; "
+            "print(trace_class_count(8, 3, (0, 0, 0)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120,
+                          preexec_fn=cap_address_space)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{count_all_zero_traces(8, 3)}\n"
+
+
 @pytest.mark.parametrize("bits", [1, 8, 9, 16, 17])
 def test_sweep_dtype_is_narrowest(bits):
-    # linear images to `bits` bits of x -> x^e keep the degree of x^e
+    # linear images to `bits` bits of x -> x^e keep the degree of x^e;
+    # func is swept on uint64 arrays and listed here on ints
     for m in (4, 9, 12):
         ctx = build_context(m)
         shift = max(1, bits - m)
