@@ -14,7 +14,8 @@ the reference, and the route for larger fields.
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, compress, product
+from operator import add
 
 import numpy as np
 
@@ -90,17 +91,16 @@ class TraceCensus(Mapping):
     tuples of big-field bit patterns: (t1,) at depth 1, (t1, t2) at 2,
     (t1, t2, t3) at 3.  One sweep of the packed `FieldContext.subfield_code`s
     (linear, checked) of the nonempty sums gives the histogram of their
-    codes: the classes are its nonzero bins, keys are decoded a block at a
-    time in code order (by `FieldContext.subfield_element` on the lanes of
-    an array), counts are Python ints, and `get` gives 0 for an absent
-    class."""
+    codes: the classes are its nonzero bins, in code order, which is the
+    order of the keys as products of the subfield elements; counts are
+    Python ints, and `get` gives 0 for an absent class."""
 
     BLOCK = 1 << 16
 
     def __init__(self, r, n, depth, cap):
         self._r, self._depth, self._active = r, depth, min(depth, n)
         self._pack, key = _census_key(r, n, self._active, cap)
-        self._element = build_context(r * n).subfield_element
+        self._ctx = build_context(r * n)
         self._hist = anf.sweep(r * n, key, self._active)
         self._len = int(np.count_nonzero(self._hist))
 
@@ -118,8 +118,8 @@ class TraceCensus(Mapping):
 
     def rows(self):
         """(t1_bits, t2_bits, t3_bits, count) rows in key (= code) order."""
-        for cols, counts in self._blocks(3):
-            yield from zip(*cols, counts)
+        return chain.from_iterable(map(add, keys, zip(counts))
+                                   for keys, counts in self._blocks(3))
 
     def __getitem__(self, key):
         try:
@@ -135,27 +135,40 @@ class TraceCensus(Mapping):
         return self._len
 
     def __iter__(self):
-        for cols, _ in self._blocks(self._depth):
-            yield from zip(*cols)
+        return chain.from_iterable(
+            keys for keys, _ in self._blocks(self._depth))
 
     def items(self):
-        return zip(self, self.values())
+        return chain.from_iterable(
+            zip(*block) for block in self._blocks(self._depth))
 
     def values(self):
-        for _, counts in self._blocks(0):
-            yield from counts
+        return chain.from_iterable(
+            counts for _, counts in self._blocks(self._depth))
 
     def _blocks(self, width: int):
-        """Per block of bins, `width` lists of the traces of its classes (0
-        for the empty sums) and the list of their counts."""
-        r, mask = self._r, (1 << self._r) - 1
-        for start in range(0, self._hist.size, self.BLOCK):
-            codes = (np.flatnonzero(self._hist[start:start + self.BLOCK])
-                     + start).astype(np.uint64)
-            cols = [self._element(r, codes >> s & mask).tolist()
-                    for s in range(r * (self._active - 1), -1, -r)[:width]]
-            cols += [[0] * codes.size] * (width - len(cols))
-            yield cols, self._hist[codes].tolist()
+        """Per block of bins, a lazy iterator over the keys of its classes,
+        padded with 0 to `width` traces, and the list of their counts.
+
+        A block is a run of leading (T1) codes of about BLOCK bins, or one
+        code if that alone spans more.  Its keys are the product of the
+        elements of its leading codes, decoded on lanes, with the shared
+        `subfield_elements(r)` for each later trace, kept where a bin is
+        nonzero: code order is the product's order."""
+        r, active, hist = self._r, self._active, self._hist
+        span = 1 << r * (active - 1)  # bins per leading code
+        step = max(self.BLOCK // span, 1)
+        later = [self._ctx.subfield_elements(r)] if active > 1 else []
+        tail = later * (active - 1) + [(0,)] * (width - active)
+        for start in range(0, 1 << r, step):
+            stop = min(start + step, 1 << r)
+            lead = self._ctx.subfield_element(
+                r, np.arange(start, stop, dtype=np.uint64)).tolist()
+            bins = hist[start * span:stop * span]
+            nonzero = bins != 0
+            yield (compress(product(lead, *tail),
+                            nonzero.view(np.uint8).tobytes()),
+                   bins[nonzero].tolist())
 
 
 _WHICH_DEPTH = {"one": 1, "two": 2, "three": 3}

@@ -13,8 +13,9 @@ from trace3 import gf2x, traces
 from trace3.anf import check_sweep, sweep_chunks
 from trace3.closedforms import (count_all_zero_traces, gauss_count,
                                 irreducible_all_zero)
-from trace3.field import BudgetError, build_context
-from trace3.traces import (PrefixPoly, check_trace_addition_identities,
+from trace3.field import BudgetError, FieldContext, build_context
+from trace3.traces import (PrefixPoly, TraceCensus,
+                           check_trace_addition_identities,
                            count_irreducibles_with_prefix, irreducible_mask,
                            is_irreducible, joint_zero_identity_check,
                            trace_census, trace_class_count, trace_triple)
@@ -180,6 +181,54 @@ def test_census_matches_reference_census(m):
                 expected = reference_census(r, m // r, which)
                 got = trace_census(r, m // r, which).counts
                 assert list(got.items()) == list(expected.items()), (r, which)
+
+
+@pytest.mark.parametrize("block", [None, 1 << 3])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_census_iteration_matches_counter(m, block, monkeypatch):
+    # at BLOCK = 8 a block is one leading code wherever a code spans more
+    # than 8 bins (r >= 2 at depth 3, r >= 4 at depth 2), and several codes
+    # where it spans fewer
+    if block is not None:
+        monkeypatch.setattr(TraceCensus, "BLOCK", block)
+    ctx = build_context(m)
+    for r in (r for r in range(1, m + 1) if m % r == 0):
+        triples = Counter(trace_triple(ctx, r, x) for x in range(ctx.order))
+        for depth, which in ((1, "one"), (2, "two"), (3, "three")):
+            expected = Counter()
+            for key, count in triples.items():
+                expected[key[:depth]] += count  # empty sums are already 0
+            expected = sorted(expected.items())
+            census = trace_census(r, m // r, which)
+            assert list(census.items()) == expected, (r, which)
+            assert list(census) == [key for key, _ in expected]
+            assert list(census.values()) == [count for _, count in expected]
+            assert len(census) == len(expected)
+            assert list(census.rows()) == [
+                key + (0,) * (3 - depth) + (count,) for key, count in expected]
+
+
+def test_census_iterators_are_lazy(monkeypatch):
+    census = trace_census(20, 1, "one")
+    decoded = []
+    element = FieldContext.subfield_element
+
+    def counted(self, r, c):
+        decoded.append(np.size(c))
+        return element(self, r, c)
+    monkeypatch.setattr(FieldContext, "subfield_element", counted)
+    # one block of leading codes is decoded, not all 2^20 of them
+    assert next(iter(census.items())) == ((0,), 1)
+    assert decoded == [TraceCensus.BLOCK]
+
+
+def test_census_values_follow_code_order():
+    census = trace_census(2, 5, "three")
+    code = build_context(10).subfield_code(2)
+    packed = [code(t1) << 4 | code(t2) << 2 | code(t3)
+              for t1, t2, t3 in census]
+    assert packed == sorted(set(packed))
+    assert list(census.values()) == [census[key] for key in census]
 
 
 def test_subfield_index_is_pivot_gather():
