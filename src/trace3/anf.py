@@ -9,12 +9,12 @@ subset-sum (zeta) butterfly computes for every x.  It is blocked as
 Z_high (x) Z_low over the top m - c and low c input bits, as in Bouillaguet
 et al., "Fast exhaustive search for polynomial systems in F_2" (CHES 2010):
 the high levels run once on a table of 2^(m-c) rows of coefficients, and
-each row, scattered into one 2^c buffer, gives 2^c values.  The map itself
-is called on arrays: once on the uint64 array of every input of weight
-<= d, once on the 16 spot-checked inputs, so a map built from the field's
-lane kernels (`trace_triple`, `FieldContext.subfield_code`) costs a few
-numpy passes per operation, not one Python call per input.  Maps written
-for ints reach a sweep through `elementwise`.
+each row, scattered into one 2^c buffer, gives 2^c values.  Every map a
+sweep takes is called on arrays: once on the uint64 array of every input
+of weight <= d, once on the 16 spot-checked inputs.  The maps are built
+from the field's lane kernels (`FieldContext.mul`, `frobenius`, the traces,
+`subfield_code`), so each costs a few numpy passes per operation, not one
+Python call per input.
 
 Trace maps relative to any subfield have degree 1/2/3 for the first, second
 and third trace, and the Artin-Schreier fiber predicates have degree 2, so
@@ -50,13 +50,6 @@ def check_sweep(m: int, cap: int = None):
     if m > MAX_SWEEP_BITS:
         raise ValueError(f"sweeps cover at most 2^{MAX_SWEEP_BITS} inputs; "
                          f"m = {m} > {MAX_SWEEP_BITS}")
-
-
-def elementwise(func):
-    """The array map a sweep takes, from a map of one int: func of each
-    input in turn, for maps written for ints only."""
-    return lambda xs: np.array([func(x) for x in xs.tolist()],
-                               dtype=np.uint64)
 
 
 def _evaluate(func, xs: np.ndarray) -> np.ndarray:

@@ -46,9 +46,8 @@ def _emit(payload):
 def cmd_count_traces(args):
     census = traces.trace_census(args.r, args.n, args.which, cap=args.max_bits)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["t1_bits", "t2_bits", "t3_bits", "count"])
-        writer.writerows(census.rows())
+        sys.stdout.write("t1_bits,t2_bits,t3_bits,count\n")
+        sys.stdout.writelines("%d,%d,%d,%d\n" % row for row in census.rows())
     else:  # `_emit`'s bytes, a row at a time; a census has >= 1 row
         head, tail = json.dumps(
             {"r": args.r, "n": args.n, "which": args.which,

@@ -108,6 +108,7 @@ def count_points_oracle(spec: CurveSpec, n: int,
     (`FieldContext.subfield_code`, 0 for trace 0), a twist its absolute
     trace, by a map kept apart from the Arf route's `quadforms.twist_form`.
     """
+    check_rn(spec.r, n)
     m = spec.r * n
     anf.check_sweep(m, cap)
     ctx = build_context(m)
@@ -120,7 +121,7 @@ def count_points_oracle(spec: CurveSpec, n: int,
         fiber = 2
         alpha = ctx.embed_subfield(spec.r)(spec.alpha)
         func = lambda x: ctx.absolute_trace(ctx.mul(alpha, rhs(x)))
-    return fiber * int(anf.sweep(m, anf.elementwise(func), 2)[0]) + 1
+    return fiber * int(anf.sweep(m, func, 2)[0]) + 1
 
 
 # ---------------------------------------------------------------------------

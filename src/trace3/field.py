@@ -83,11 +83,11 @@ class FieldContext:
     There are four kernels:
 
     - GF(2)-linear maps (squaring, Frobenius^k, relative traces, the
-      trace dual) are byte-sliced tables (`_byte_tables`), so a map costs
-      one lookup per byte.  The squaring table is built with the context;
-      the others on first use.  A new Frobenius^k is composed from
-      Frobenius^(k - k//2) and Frobenius^(k//2), built the same way, so
-      it costs O(m log k) lookups.
+      absolute one as the trace to F_2, the trace dual) are byte-sliced
+      tables (`_byte_tables`), so a map costs one lookup per byte.  The
+      squaring table is built with the context; the others on first use.
+      A new Frobenius^k is composed from Frobenius^(k - k//2) and
+      Frobenius^(k//2), built the same way, so it costs O(m log k) lookups.
     - For m <= LOG_MAX_DEGREE, `mul` adds discrete logarithms to the base
       of the smallest primitive element.  The log and antilog lists are
       built on the first `mul`.
@@ -95,14 +95,14 @@ class FieldContext:
       over b against the 16 multiples of a, then reduces the high half
       8 bits at a time with a table of the multiples of the modulus by
       t * x^m, t < 256, built on the first `mul`.
-    - Lanes: `mul`, `sqr`, `frobenius` and `subfield_element` also take
-      uint64 arrays (one operand of `mul` may be an int), for
+    - Lanes: `mul`, `sqr`, `frobenius`, the traces and `subfield_element`
+      also take uint64 arrays (one operand of `mul` may be an int), for
       m <= MAX_SWEEP_BITS, so that a product fits a lane; ValueError
       above.  `mul` is the windowed product at every such m, each lane
       gathering its multiple of a per 4 bits of b, reduced through a
       uint64 copy of the same table; a linear map indexes uint64 copies of
-      its byte tables, made on first use and kept on the context (numpy
-      1.x turns a mix of uint64 and int64 into float64).
+      its byte tables (`_linear`), made on first use and kept on the
+      context (numpy 1.x turns a mix of uint64 and int64 into float64).
 
     The subfield F_{2^r} is r ints, the reduced echelon basis of the kernel
     of a -> a^(2^r) + a by `kernel_basis` (the elimination that also gives
@@ -136,9 +136,6 @@ class FieldContext:
         self._embeddings = {}             # r -> tables of embed_subfield(r)
         # high-half bytes of a product of degree <= 2m - 2, top one first
         self._reduce_shifts = tuple(range(8 * ((m - 2) // 8), -1, -8))
-        # bit i set iff the absolute trace of x^i is 1
-        self._trace_mask = sum(t << i for i, t in
-                               enumerate(self._trace_images(1)))
 
     def __repr__(self):
         return f"FieldContext(m={self.m}, modulus={self.modulus:#x})"
@@ -251,18 +248,19 @@ class FieldContext:
         exp_np[:zero] = exp
         log_np = np.array(log, dtype=np.int32)
         log_np[0] = zero
-        sqr_np = np.array([self.sqr(a) for a in range(self.order)],
-                          dtype=dtype)
+        sqr_np = self.sqr(np.arange(self.order, dtype=np.uint64)).astype(dtype)
         self._lanes = tables = (exp_np, log_np, sqr_np)
         return tables
 
     def sqr(self, a):
-        return _apply(self._lane_map(self._sqr) if type(a) is ndarray
-                      else self._sqr, a)
+        return self._linear(self._sqr, a)
 
-    def _lane_map(self, tables: list) -> list:
-        """uint64 numpy copies of byte tables, which `_apply` maps the lanes
-        of a uint64 array through; made on first use, m <= MAX_SWEEP_BITS."""
+    def _linear(self, tables: list, a):
+        """The image of a under the map of byte tables `tables`: of an int,
+        or of each lane of a uint64 array through uint64 numpy copies of
+        the tables, made on first use, m <= MAX_SWEEP_BITS."""
+        if type(a) is not ndarray:
+            return _apply(tables, a)
         entry = self._lane_maps.get(id(tables))
         if entry is None:
             if self.m > MAX_SWEEP_BITS:
@@ -271,7 +269,7 @@ class FieldContext:
             # kept with its copies, the list keeps its id
             entry = self._lane_maps[id(tables)] = (
                 tables, [np.array(t, dtype=np.uint64) for t in tables])
-        return entry[1]
+        return _apply(entry[1], a)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -294,9 +292,8 @@ class FieldContext:
         k %= self.m
         if not k:
             return a
-        tables = self._frobenius.get(k) or self._frobenius_tables(k)
-        return _apply(self._lane_map(tables) if type(a) is ndarray
-                      else tables, a)
+        return self._linear(
+            self._frobenius.get(k) or self._frobenius_tables(k), a)
 
     def _frobenius_tables(self, k: int) -> list:
         """Tables of a -> a^(2^k), 0 < k < m: Frobenius^(k - k//2), then
@@ -322,18 +319,21 @@ class FieldContext:
                 k += 1
         return images
 
-    def absolute_trace(self, a: int) -> int:
-        """Trace to GF(2), in {0, 1}."""
-        return bin(a & self._trace_mask).count("1") & 1
+    def absolute_trace(self, a):
+        """Trace to GF(2), in {0, 1}: the relative trace to F_2."""
+        return self.relative_trace(a, 1)
 
-    def relative_trace(self, a: int, r: int) -> int:
-        """Trace to the subfield F_{2^r}; requires r | m."""
+    def relative_trace(self, a, r: int):
+        """Trace to F_{2^r} (r | m) of an int or each lane of a uint64 array."""
         tables = self._trace.get(r)
         if tables is None:
-            if self.m % r:
-                raise ValueError(f"{r} does not divide {self.m}")
+            self._check_divisor(r)
             tables = self._trace[r] = _byte_tables(self._trace_images(r))
-        return _apply(tables, a)
+        return self._linear(tables, a)
+
+    def _check_divisor(self, r: int):
+        if r < 1 or self.m % r:
+            raise ValueError(f"need r >= 1 dividing {self.m}, got r = {r}")
 
     def trace_dual(self, c: int) -> int:
         """Bit j is Tr(c x^j): GF(2)-linear in c and Hankel (Tr(x^i x^j)
@@ -357,8 +357,7 @@ class FieldContext:
         """(subfield_basis(r), its byte tables)."""
         entry = self._subfields.get(r)
         if entry is None:
-            if self.m % r:
-                raise ValueError(f"{r} does not divide {self.m}")
+            self._check_divisor(r)
             kernel, _ = kernel_basis([self.frobenius(1 << i, r) ^ 1 << i
                                       for i in range(self.m)])
             assert len(kernel) == r, (self.m, r, len(kernel))
@@ -368,9 +367,7 @@ class FieldContext:
     def subfield_element(self, r: int, c):
         """The element of code c in F_{2^r} (`subfield_basis`), for an int c
         or each lane of a uint64 array."""
-        tables = self._subfield(r)[1]
-        return _apply(self._lane_map(tables) if type(c) is ndarray
-                      else tables, c)
+        return self._linear(self._subfield(r)[1], c)
 
     def subfield_elements(self, r: int) -> list:
         """All 2^r elements of F_{2^r} inside this field, ascending: entry

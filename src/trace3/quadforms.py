@@ -20,6 +20,7 @@ from functools import lru_cache
 from . import anf
 from .field import (DEFAULT_ENUM_CAP, FieldContext, _apply, _byte_tables,
                     build_context, kernel_basis)
+from .residues import check_rn
 
 
 @dataclass
@@ -46,6 +47,7 @@ class QuadForm:
 def twist_form(family: int, r: int, n: int, alpha: int = 1) -> QuadForm:
     from .curves import CurveSpec, curve_rhs, family_terms
     spec = CurveSpec(family, r, alpha)
+    check_rn(r, n)
     ctx = build_context(r * n)
     rhs = curve_rhs(spec, ctx)
     alpha_big = ctx.embed_subfield(r)(alpha)
@@ -158,7 +160,7 @@ def _arf_invariant(qf: QuadForm, image, complement) -> int:
 def count_zeros_oracle(qf: QuadForm, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exhaustive zero count of Q over F_{2^m}."""
     anf.check_sweep(qf.m, cap)
-    return int(anf.sweep(qf.m, anf.elementwise(qf.func), 2)[0])
+    return int(anf.sweep(qf.m, qf.func, 2)[0])
 
 
 def expected_radical_dimension(family: int, r: int, n: int, klass: str) -> int:
@@ -185,8 +187,7 @@ def _cubic_fiber_counts(r: int):
     from one vectorized pass over the fibers of x -> x^3 + x (a map of
     bit-degree 2, so the low-degree sweep applies)."""
     ctx = build_context(r)
-    counts = anf.sweep(r, anf.elementwise(lambda x: ctx.mul(ctx.sqr(x), x) ^ x),
-                       2).tolist()
+    counts = anf.sweep(r, lambda x: ctx.mul(ctx.sqr(x), x) ^ x, 2).tolist()
     return counts + [0] * (ctx.order - len(counts))
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import anf, gf2x
 from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE,
                     FieldContext, build_context)
+from .residues import check_rn
 
 
 def trace_triple(ctx: FieldContext, r: int, a):
@@ -46,13 +47,14 @@ def trace_triple(ctx: FieldContext, r: int, a):
     return c1, c2, c3
 
 
-def check_trace_addition_identities(ctx: FieldContext, r: int, a: int, b: int) -> bool:
+def check_trace_addition_identities(ctx: FieldContext, r: int, a, b):
     """Both addition identities for the second and third trace:
 
       T2(a+b) + T2(a) + T2(b) = T1(a)T1(b) + T1(ab)
       T3(a+b) + T3(a) + T3(b) = T2(a)T1(b) + T1(a)T2(b)
                                 + T1(a^2 b + a b^2) + T1(ab)T1(a+b)
-    """
+
+    A bool for ints a, b; for uint64 arrays (m <= 32), a bool per lane."""
     t_a = trace_triple(ctx, r, a)
     t_b = trace_triple(ctx, r, b)
     t_s = trace_triple(ctx, r, a ^ b)
@@ -64,7 +66,7 @@ def check_trace_addition_identities(ctx: FieldContext, r: int, a: int, b: int) -
     lhs3 = t_s[2] ^ t_a[2] ^ t_b[2]
     rhs3 = (ctx.mul(t_a[1], t_b[0]) ^ ctx.mul(t_a[0], t_b[1])
             ^ trace_triple(ctx, r, mixed)[0] ^ ctx.mul(t1_ab, t_s[0]))
-    return lhs2 == rhs2 and lhs3 == rhs3
+    return (lhs2 == rhs2) & (lhs3 == rhs3)
 
 
 def _census_key(r: int, n: int, active: int, cap: int):
@@ -73,6 +75,7 @@ def _census_key(r: int, n: int, active: int, cap: int):
     `FieldContext.subfield_code`s, first trace highest (AssertionError off
     the subfield), and key(x) = pack(trace_triple(x)), for an int x or a
     uint64 array."""
+    check_rn(r, n)
     anf.check_sweep(r * n, cap)
     ctx = build_context(r * n)
     code = ctx.subfield_code(r)
@@ -178,6 +181,8 @@ def trace_census(r: int, n: int, which: str = "three",
                  cap: int = DEFAULT_ENUM_CAP) -> TraceCensus:
     """Census of F_{2^(rn)} by the first traces relative to F_{2^r}: one
     chunked sweep into 2^(r min(n, depth)) counts, kept as one array."""
+    if which not in _WHICH_DEPTH:
+        raise ValueError(f"which must be one, two or three, got {which!r}")
     return TraceCensus(r, n, _WHICH_DEPTH[which], cap)
 
 

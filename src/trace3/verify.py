@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement, product
 
+import numpy as np
+
 from . import closedforms as cf
 from . import curves, fourier, quadforms, traces
 from .cyclotomic import Cyc, sqrt2_power
@@ -203,19 +205,17 @@ def check_trace_identities(max_bits):
                      {"exhaustive": f"rn <= {2 * degrees}",
                       "random": f"{len(fields) * trials} pairs, "
                                 f"rn <= {max(r * n for r, n in fields)}"})
-    for m in range(2, 2 * degrees + 1, 2):
-        ctx = build_context(m)
-        for r in [d for d in (1, 2, 3, 4) if m % d == 0]:
-            for a, b in combinations_with_replacement(range(1 << m), 2):
-                col.case(traces.check_trace_addition_identities(ctx, r, a, b),
-                         f"m={m} r={r} a={a} b={b}")
+    runs = [(m, r, list(combinations_with_replacement(range(1 << m), 2)))
+            for m in range(2, 2 * degrees + 1, 2)
+            for r in (1, 2, 3, 4) if m % r == 0]
     rng = random.Random(2024)
-    for r, n in fields:
-        ctx = build_context(r * n)
-        for _ in range(trials):
-            a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
-            col.case(traces.check_trace_addition_identities(ctx, r, a, b),
-                     f"m={ctx.m} r={r} a={a} b={b}")
+    runs += [(r * n, r, [(rng.randrange(1 << r * n), rng.randrange(1 << r * n))
+                         for _ in range(trials)]) for r, n in fields]
+    for m, r, pairs in runs:  # one call per field and r, on lanes
+        oks = traces.check_trace_addition_identities(
+            build_context(m), r, *np.array(pairs, dtype=np.uint64).T)
+        for ok, (a, b) in zip(oks.tolist(), pairs):
+            col.case(ok, f"m={m} r={r} a={a} b={b}")
     return [col.record()]
 
 

@@ -290,7 +290,13 @@ def test_curve_count_rejects_negative_alpha(capsys):
     ("count", "--family", "c1", "--r", "1", "--n", "0", "--method", "fourier"),
     ("count", "--family", "c1", "--r", "1", "--n", "0", "--method", "charpoly"),
     ("count", "--family", "c3", "--r", "0", "--n", "3", "--method", "fourier"),
-], ids=["charpoly-r0", "fourier-n0", "charpoly-n0", "fourier-r0"])
+    ("count", "--family", "c1", "--r", "1", "--n", "0", "--method", "oracle"),
+    ("count", "--family", "c2", "--r", "2", "--n", "0", "--alpha", "1",
+     "--method", "oracle"),
+    ("count", "--family", "c3", "--r", "1", "--n", "-2", "--alpha", "1",
+     "--method", "quadform"),
+], ids=["charpoly-r0", "fourier-n0", "charpoly-n0", "fourier-r0", "oracle-n0",
+        "twist-oracle-n0", "quadform-n-2"])
 def test_curve_rejects_r_or_n_below_1(capsys, argv):
     code, out, err = run_cli(capsys, "curve", *argv)
     assert code == 2 and out == "" and err.startswith("error: need ")
@@ -304,6 +310,19 @@ def test_curve_rejects_r_or_n_below_1(capsys, argv):
 def test_twist_commands_blame_r_below_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: need r >= 1")
+
+
+@pytest.mark.parametrize("argv,blame", [
+    (("count-traces", "--r", "-1", "--n", "-1"), "r"),
+    (("count-traces", "--r", "0", "--n", "5"), "r"),
+    (("count-traces", "--r", "3", "--n", "0", "--format", "csv"), "n"),
+    (("quadform", "report", "--family", "c1", "--r", "2", "--n", "0"), "n"),
+], ids=["census-r-1-n-1", "census-r0", "census-n0", "quadform-n0"])
+def test_sweeps_blame_r_or_n_below_1(capsys, argv, blame):
+    # r n = 1 or 0 passes the sweep's size check: r and n are checked first
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: need {blame} >= 1") and err.count("\n") == 1
 
 
 def test_curve_charpoly(capsys):

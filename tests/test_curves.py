@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trace3 import anf, quadforms
@@ -102,6 +104,28 @@ def test_oracle_matches_brute_force(r):
                 spec = CurveSpec(family, r, alpha)
                 assert (count_points_oracle(spec, n)
                         == brute_force_count(spec, n)), (family, r, n, alpha)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_oracle_maps_on_lanes_match_ints(r):
+    # the maps the oracle and the Arf route sweep, on a uint64 array and
+    # element by element on ints, for the combined curve and every twist
+    # class representative
+    rng = random.Random(r)
+    for family in (1, 2, 3):
+        alphas = [None] + list(twist_class_representatives(family, r).values())
+        for n in range(1, 12 // r + 1):
+            ctx = build_context(r * n)
+            xs = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order)
+                                          for _ in range(40)]
+            lanes = np.array(xs, dtype=np.uint64)
+            for alpha in alphas:
+                rhs = curve_rhs(CurveSpec(family, r, alpha), ctx)
+                assert rhs(lanes).tolist() == list(map(rhs, xs))
+                if alpha is not None:
+                    func = twist_form(family, r, n, alpha).func
+                    assert func(lanes).tolist() == list(map(func, xs)), (
+                        family, n, alpha)
 
 
 def test_combined_table_spot_values():
@@ -370,10 +394,14 @@ def test_supersingularity_certificate_needs_24th_roots_of_unity():
     (spectral_count, (1, 1, 0)), (spectral_count, (3, 0, 3)),
     (charpoly_count, (1, 1, 0)), (charpoly_count, (3, 0, 3)),
     (frobenius_charpoly, (3, 0)),
+    (count_points_oracle, (CurveSpec(1, 1), 0)),
+    (count_points_oracle, (CurveSpec(3, 2, 1), -1)),
+    (twist_form, (2, 1, 0)), (twist_form, (2, -1, -1)),
 ], ids=["spectral-n0", "spectral-r0", "charpoly-n0", "charpoly-r0",
-        "frobenius-r0"])
+        "frobenius-r0", "oracle-n0", "twist-oracle-n-1", "twist-form-n0",
+        "twist-form-r-1-n-1"])
 def test_routes_reject_r_or_n_below_1(route, args):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need [rn] >= 1"):
         route(*args)
 
 

@@ -236,7 +236,40 @@ def test_lane_kernels_stop_at_32_bits():
         ctx.mul(3, lanes)
     with pytest.raises(ValueError, match="m <= 32"):
         ctx.frobenius(lanes, 1)
+    for r in (1, 3, 11, 33):
+        with pytest.raises(ValueError, match="m <= 32"):
+            ctx.relative_trace(lanes, r)
+    with pytest.raises(ValueError, match="m <= 32"):
+        ctx.absolute_trace(lanes)
     assert ctx.mul(3, 5) == gf2x.mulmod(3, 5, ctx.modulus)
+    assert ctx.absolute_trace(3) == ctx.relative_trace(3, 1)
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_lane_traces_match_traces(m):
+    ctx = build_context(m)
+    xs = _lane_samples(ctx, random.Random(m + 200), 60)
+    lanes = np.array(xs, dtype=np.uint64)
+    for r in (r for r in range(1, m + 1) if m % r == 0):
+        got = ctx.relative_trace(lanes, r)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [ctx.relative_trace(x, r) for x in xs], r
+    assert ctx.absolute_trace(lanes).tolist() == [ctx.absolute_trace(x)
+                                                  for x in xs]
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: ctx.relative_trace(3, 0),
+    lambda ctx: ctx.relative_trace(3, -1),
+    lambda ctx: ctx.relative_trace(np.array([3], dtype=np.uint64), -2),
+    lambda ctx: ctx.subfield_elements(0),
+    lambda ctx: ctx.subfield_basis(-1),
+    lambda ctx: ctx.subfield_element(0, 1),
+], ids=["trace-r0", "trace-r-1", "lane-trace-r-2", "elements-r0",
+        "basis-r-1", "element-r0"])
+def test_subfield_maps_reject_r_below_1(call):
+    with pytest.raises(ValueError, match="need r >= 1"):
+        call(build_context(6))
 
 
 def test_log_tables_trivial_group():

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from trace3.curves import alpha_class, closed_count_twist, twist_classes
@@ -142,6 +143,16 @@ def test_cubic_root_count_matches_direct_evaluation():
             roots = sum(1 for x in range(1 << r)
                         if ctx.mul(ctx.sqr(x), x) ^ x ^ beta == 0)
             assert cubic_root_count(r, beta) == roots
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_cubic_map_on_lanes_matches_ints(r):
+    # x -> x^3 + x, as `_cubic_fiber_counts` sweeps it, on every element
+    ctx = build_context(r)
+    cubic = lambda x: ctx.mul(ctx.sqr(x), x) ^ x
+    xs = list(range(ctx.order))
+    assert cubic(np.arange(ctx.order, dtype=np.uint64)).tolist() == list(
+        map(cubic, xs))
 
 
 def test_cubic_census_values():

@@ -321,6 +321,18 @@ def test_check_sweep_order():
         check_sweep(33)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: trace_census(-1, -1), lambda: trace_census(0, 5),
+    lambda: trace_census(2, 0, "one"), lambda: trace_class_count(-1, -1, (0,)),
+    lambda: trace_class_count(1, 0, (0, 0, 0)),
+    lambda: trace_census(1, 4, "four"),
+], ids=["census-r-1-n-1", "census-r0", "census-n0", "class-r-1-n-1",
+        "class-n0", "census-which"])
+def test_census_rejects_bad_arguments_before_sweeping(call):
+    with pytest.raises(ValueError, match="need [rn] >= 1|which must be"):
+        call()
+
+
 def test_trace_addition_identities():
     ctx = build_context(4)
     assert check_trace_addition_identities(ctx, 1, 0, 0)
@@ -332,6 +344,22 @@ def test_trace_addition_identities():
     for _ in range(100):
         assert check_trace_addition_identities(
             big, 2, rng.randrange(big.order), rng.randrange(big.order))
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8, 12, 20, 24, 32])
+def test_trace_addition_identities_on_lanes_match_ints(m):
+    ctx = build_context(m)
+    rng = random.Random(m)
+    a = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(60)]
+    b = [0, ctx.order - 1, 1] + [rng.randrange(ctx.order) for _ in range(60)]
+    for r in (r for r in (1, 2, 3, 4) if m % r == 0):
+        got = check_trace_addition_identities(
+            ctx, r, np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64))
+        assert got.dtype == np.bool_
+        want = [check_trace_addition_identities(ctx, r, x, y)
+                for x, y in zip(a, b)]
+        assert all(type(ok) is bool for ok in want)
+        assert got.tolist() == want == [True] * len(a), r
 
 
 def all_monic(r, n):
