@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from itertools import starmap
 
 from . import closedforms as cf
 from . import anf, curves, fourier, quadforms, traces, verify
@@ -45,19 +46,22 @@ def _emit(payload):
 
 def cmd_count_traces(args):
     census = traces.trace_census(args.r, args.n, args.which, cap=args.max_bits)
+    blocks = census.text_blocks()
     if args.format == "csv":
         sys.stdout.write("t1_bits,t2_bits,t3_bits,count\n")
-        sys.stdout.writelines("%d,%d,%d,%d\n" % row for row in census.rows())
-    else:  # `_emit`'s bytes, a row at a time; a census has >= 1 row
+        for rows in blocks:
+            sys.stdout.write("\n".join(map(",".join, rows)) + "\n")
+    else:  # `_emit`'s bytes, a block of rows at a time
         head, tail = json.dumps(
             {"r": args.r, "n": args.n, "which": args.which,
              "total": str(census.total), "rows": [None]},
             indent=2, sort_keys=True).split("    null")
-        rows = ('    {{\n      "count": "{3}",\n      "t1_bits": {0},\n      '
-                '"t2_bits": {1},\n      "t3_bits": {2}\n    }}'.format(*row)
-                for row in census.rows())
-        sys.stdout.write(head + next(rows))
-        sys.stdout.writelines(",\n" + row for row in rows)
+        row = ('    {{\n      "count": "{3}",\n      "t1_bits": {0},\n      '
+               '"t2_bits": {1},\n      "t3_bits": {2}\n    }}').format
+        sep = head
+        for rows in blocks:
+            sys.stdout.write(sep + ",\n".join(starmap(row, rows)))
+            sep = ",\n"
         print(tail)
     return 0
 

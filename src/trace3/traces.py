@@ -13,7 +13,7 @@ the reference, and the route for larger fields.
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain, compress, product
 from operator import add
 
@@ -21,7 +21,8 @@ import numpy as np
 
 from . import anf, gf2x
 from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE,
-                    FieldContext, build_context)
+                    FieldContext, _apply, _byte_tables, build_context,
+                    kernel_basis)
 from .residues import check_rn
 
 
@@ -34,8 +35,7 @@ def trace_triple(ctx: FieldContext, r: int, a):
     traces for n < 3 are empty sums, hence 0.  a is an int, or a uint64
     array whose lanes go through the field's lane kernels (m <= 32).
     """
-    if ctx.m % r:
-        raise ValueError(f"{r} does not divide {ctx.m}")
+    ctx._check_divisor(r)
     n = ctx.m // r
     b = a
     c1 = c2 = c3 = 0
@@ -88,24 +88,88 @@ def _census_key(r: int, n: int, active: int, cap: int):
     return pack, lambda x: pack(trace_triple(ctx, r, x))
 
 
+def _t1_lift(ctx: FieldContext, r: int):
+    """The GF(2)-linear lane map of m - r + 1 bits onto the elements with
+    T1 = Tr_{m/r} in F_2: bit i < m - r goes to the i-th vector of the
+    kernel of Tr_{m/r}, bit m - r to an x0 with T1(x0) = 1.  Both come from
+    one `kernel_basis`, of (x, e) -> T1(x) + e for e in F_2: only its last
+    vector has e = 1, and T1 = 1 there.  So T1 is 0 on the inputs below
+    2^(m-r) and 1 on the rest, and a map composed with the lift keeps its
+    GF(2)-degree."""
+    basis, _ = kernel_basis(
+        [ctx.relative_trace(1 << i, r) for i in range(ctx.m)] + [1])
+    tables = _byte_tables([v & ctx.order - 1 for v in basis])  # e dropped
+    return partial(_apply, [np.array(t, dtype=np.uint64) for t in tables])
+
+
+def _subfield_logs(ctx: FieldContext, r: int) -> tuple:
+    """(exp, log), uint64 and int64 arrays over the codes of F_{2^r}*:
+    exp[i] is the code of g^i, i < 2^r - 1, for the primitive g of least
+    code, and log[exp[i]] = i (log[0] = 0 is not a logarithm)."""
+    q = 1 << r
+    code = ctx.subfield_code(r)
+    for c in range(1, q):  # F_{2^r}* is cyclic: some g is primitive
+        powers = np.ones(1, dtype=np.uint64)
+        step = ctx.subfield_element(r, np.full(1, c, dtype=np.uint64))
+        while powers.size < q - 1:  # g^i for i < 2^k, k = 0, 1, 2, ...
+            powers = np.concatenate([powers, ctx.mul(powers, step)])
+            step = ctx.mul(step, step)  # g^powers.size
+        if not (powers[1:q - 1] == 1).any():  # the order of g is q - 1
+            exp = code(powers[:q - 1])
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = np.arange(q - 1)
+            return exp, log
+
+
 class TraceCensus(Mapping):
     """Exhaustive counts of the elements of F_{2^(rn)} by their first
     `depth` traces relative to F_{2^r}, as a read-only mapping keyed by
     tuples of big-field bit patterns: (t1,) at depth 1, (t1, t2) at 2,
-    (t1, t2, t3) at 3.  One sweep of the packed `FieldContext.subfield_code`s
-    (linear, checked) of the nonempty sums gives the histogram of their
-    codes: the classes are its nonzero bins, in code order, which is the
-    order of the keys as products of the subfield elements; counts are
-    Python ints, and `get` gives 0 for an absent class."""
+    (t1, t2, t3) at 3.  The counts are the histogram of the packed
+    `FieldContext.subfield_code`s of the nonempty sums, first trace
+    highest, so the histogram is a run of T1 blocks: the classes are its
+    nonzero bins, in code order, which is the order of the keys as
+    products of the subfield elements; counts are Python ints, and `get`
+    gives 0 for an absent class.
 
-    BLOCK = 1 << 16
+    Only the elements with T1 in F_2 are swept: one sweep of the key
+    through `_t1_lift`, 2^(rn - r + 1) inputs, gives the blocks of T1 = 0
+    and 1.  Every other block is a gather of block 1, since a -> c a, for
+    c in F_{2^r}*, maps the class (1, t2, t3) onto (c, c^2 t2, c^3 t3):
+    T_k(c a) = c^k T_k(a)."""
+
+    BLOCK = 1 << 14  # bins per block of iteration, and of joined text rows
 
     def __init__(self, r, n, depth, cap):
         self._r, self._depth, self._active = r, depth, min(depth, n)
         self._pack, key = _census_key(r, n, self._active, cap)
         self._ctx = build_context(r * n)
-        self._hist = anf.sweep(r * n, key, self._active)
+        self._hist = np.zeros(1 << r * self._active, dtype=np.int64)
+        lift = _t1_lift(self._ctx, r)
+        swept = anf.sweep(r * n - r + 1, lambda x: key(lift(x)), self._active)
+        self._hist[:swept.size] = swept
+        self._scale_blocks()
         self._len = int(np.count_nonzero(self._hist))
+
+    def _scale_blocks(self):
+        """Fill each T1 block c >= 2 from block 1: bin (c, t2, t3) is bin
+        (1, t2 c^-2, t3 c^-3), one gather along each later trace, with the
+        codes of t c^-k from discrete logarithms (`_subfield_logs`)."""
+        r, active = self._r, self._active
+        q = 1 << r
+        blocks = self._hist.reshape((q,) * active)
+        if active == 1:  # a class per T1, each of 2^(rn - r) elements
+            blocks[2:] = blocks[1]
+            return
+        exp, log = _subfield_logs(self._ctx, r)
+        exp = np.tile(exp, 4)  # logs below 4 (q - 1) need no reduction
+        for c in range(2, q):
+            block = blocks[1]
+            for axis, k in enumerate(range(2, active + 1)):
+                index = exp[log + k * (q - 1 - log[c])]  # code of t c^-k
+                index[0] = 0
+                block = block.take(index, axis=axis)
+            blocks[c] = block
 
     @property
     def counts(self):
@@ -123,6 +187,13 @@ class TraceCensus(Mapping):
         """(t1_bits, t2_bits, t3_bits, count) rows in key (= code) order."""
         return chain.from_iterable(map(add, keys, zip(counts))
                                    for keys, counts in self._blocks(3))
+
+    def text_blocks(self):
+        """The rows as decimal strings, a lazy iterator of them per block
+        of bins; every block holds a class, since every T1 is taken.  The
+        text of each later trace's elements is built once."""
+        return (map(add, keys, zip(counts))
+                for keys, counts in self._blocks(3, text=True))
 
     def __getitem__(self, key):
         try:
@@ -149,9 +220,10 @@ class TraceCensus(Mapping):
         return chain.from_iterable(
             counts for _, counts in self._blocks(self._depth))
 
-    def _blocks(self, width: int):
+    def _blocks(self, width: int, text: bool = False):
         """Per block of bins, a lazy iterator over the keys of its classes,
-        padded with 0 to `width` traces, and the list of their counts.
+        padded with 0 to `width` traces, and the list of their counts; with
+        `text`, each element and count as its decimal string.
 
         A block is a run of leading (T1) codes of about BLOCK bins, or one
         code if that alone spans more.  Its keys are the product of the
@@ -159,19 +231,22 @@ class TraceCensus(Mapping):
         `subfield_elements(r)` for each later trace, kept where a bin is
         nonzero: code order is the product's order."""
         r, active, hist = self._r, self._active, self._hist
+
+        def cast(values):
+            return list(map(str, values)) if text else values
         span = 1 << r * (active - 1)  # bins per leading code
         step = max(self.BLOCK // span, 1)
-        later = [self._ctx.subfield_elements(r)] if active > 1 else []
-        tail = later * (active - 1) + [(0,)] * (width - active)
+        later = [cast(self._ctx.subfield_elements(r))] if active > 1 else []
+        tail = later * (active - 1) + [cast([0])] * (width - active)
         for start in range(0, 1 << r, step):
             stop = min(start + step, 1 << r)
             lead = self._ctx.subfield_element(
                 r, np.arange(start, stop, dtype=np.uint64)).tolist()
             bins = hist[start * span:stop * span]
             nonzero = bins != 0
-            yield (compress(product(lead, *tail),
+            yield (compress(product(cast(lead), *tail),
                             nonzero.view(np.uint8).tobytes()),
-                   bins[nonzero].tolist())
+                   cast(bins[nonzero].tolist()))
 
 
 _WHICH_DEPTH = {"one": 1, "two": 2, "three": 3}
@@ -180,7 +255,9 @@ _WHICH_DEPTH = {"one": 1, "two": 2, "three": 3}
 def trace_census(r: int, n: int, which: str = "three",
                  cap: int = DEFAULT_ENUM_CAP) -> TraceCensus:
     """Census of F_{2^(rn)} by the first traces relative to F_{2^r}: one
-    chunked sweep into 2^(r min(n, depth)) counts, kept as one array."""
+    chunked sweep of the 2^(rn - r + 1) elements with T1 in F_2, whose
+    counts, scaled by F_{2^r}*, fill 2^(r min(n, depth)) counts kept as one
+    array (`TraceCensus`)."""
     if which not in _WHICH_DEPTH:
         raise ValueError(f"which must be one, two or three, got {which!r}")
     return TraceCensus(r, n, _WHICH_DEPTH[which], cap)
@@ -189,8 +266,12 @@ def trace_census(r: int, n: int, which: str = "three",
 def trace_class_count(r: int, n: int, traces, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Number of elements of F_{2^(rn)} whose first traces are `traces`, as
     big-field bit patterns; 0 off the subfield or nonzero on an empty sum.
-    Each chunk of the census key is compared with the packed target, so no
-    histogram of the classes is built."""
+
+    Only the coset of the target's T1 is swept: 2^(rn - r) inputs, the
+    kernel of T1 through `_t1_lift`, each shifted by t1 x0, where x0 is
+    the lift's element with T1 = 1.  Each chunk of the census key is
+    compared with the packed target, so no histogram of the classes is
+    built."""
     active = min(len(traces), n)
     pack, key = _census_key(r, n, active, cap)
     try:
@@ -199,7 +280,14 @@ def trace_class_count(r: int, n: int, traces, cap: int = DEFAULT_ENUM_CAP) -> in
         target = pack(traces)
     except AssertionError:  # a trace outside F_{2^r}
         return 0
-    _, chunks = anf.sweep_chunks(r * n, key, active)
+    if not active:
+        return 1 << r * n
+    ctx = build_context(r * n)
+    lift = _t1_lift(ctx, r)
+    x0 = lift(np.full(1, 1 << r * n - r, dtype=np.uint64))
+    shift = ctx.mul(x0, traces[0])  # T1(t1 x0) = t1 T1(x0) = t1
+    _, chunks = anf.sweep_chunks(r * n - r, lambda x: key(lift(x) ^ shift),
+                                 active)
     return sum(int(np.count_nonzero(values == target)) for values in chunks)
 
 

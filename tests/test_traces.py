@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trace3 import gf2x, traces
-from trace3.anf import check_sweep, sweep_chunks
+from trace3.anf import check_sweep, sweep, sweep_chunks
 from trace3.closedforms import (count_all_zero_traces, gauss_count,
                                 irreducible_all_zero)
 from trace3.field import BudgetError, FieldContext, build_context
@@ -229,6 +229,127 @@ def test_census_values_follow_code_order():
               for t1, t2, t3 in census]
     assert packed == sorted(set(packed))
     assert list(census.values()) == [census[key] for key in census]
+
+
+def one_sweep_census(r, n, which):
+    """The census histogram by one sweep of the packed codes over all 2^rn
+    elements, with no T1 block derived by scaling: the reference that
+    `TraceCensus` must equal."""
+    active = min({"one": 1, "two": 2, "three": 3}[which], n)
+    _, key = traces._census_key(r, n, active, None)
+    return sweep(r * n, key, active)
+
+
+def decoded_items(ctx, r, hist, depth, active):
+    """(key, count) of every nonzero bin of a census histogram, code order."""
+    codes = np.flatnonzero(hist)
+    sub = np.array(ctx.subfield_elements(r), dtype=np.uint64)
+    mask = (1 << r) - 1
+    parts = [sub[codes >> r * (active - 1 - i) & mask].tolist()
+             for i in range(active)]
+    parts += [[0] * codes.size] * (depth - active)
+    return list(zip(zip(*parts), hist[codes].tolist()))
+
+
+@pytest.mark.parametrize("m", range(1, 19))
+def test_census_matches_one_sweep_reference(m):
+    ctx = build_context(m)
+    for r in (r for r in range(1, m + 1) if m % r == 0):
+        n = m // r
+        for depth, which in ((1, "one"), (2, "two"), (3, "three")):
+            expected = one_sweep_census(r, n, which)
+            census = trace_census(r, n, which)
+            assert np.array_equal(census._hist, expected), (r, which)
+            items = decoded_items(ctx, r, expected, depth, min(depth, n))
+            assert list(census.items()) == items, (r, which)
+            assert list(census.rows()) == [
+                key + (0,) * (3 - depth) + (count,) for key, count in items]
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_class_count_matches_one_sweep_reference(m):
+    ctx = build_context(m)
+    for r in (r for r in range(1, m + 1) if m % r == 0):
+        n = m // r
+        sub = ctx.subfield_elements(r)
+        hist = one_sweep_census(r, n, "three")
+        active = min(3, n)
+        code = ctx.subfield_code(r)
+        # every target of subfield traces, t1 outside F_2 included, with
+        # the empty sums past n at 0
+        for target in product(sub, repeat=active):
+            packed = 0
+            for t in target:
+                packed = packed << r | code(t)
+            padded = target + (0,) * (3 - active)
+            assert trace_class_count(r, n, padded) == hist[packed], padded
+        # shorter targets sum over the traces left out
+        items = decoded_items(ctx, r, hist, 3, active)
+        for length in (1, 2):
+            want = Counter()
+            for key, count in items:
+                want[key[:length]] += count
+            for target in product(sub, repeat=min(length, n)):
+                target += (0,) * (length - len(target))
+                assert trace_class_count(r, n, target) == want[target], target
+        # a trace outside F_{2^r}, or nonzero past n, matches nothing
+        if r < m:
+            outside = min(set(range(ctx.order)) - set(sub))
+            for target in ((outside,), (sub[-1], outside), (1, 0, outside)):
+                assert trace_class_count(r, n, target) == 0, target
+        if n < 3:
+            assert trace_class_count(r, n, (sub[-1],) * n + (1,)) == 0
+
+
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 3), (5, 2), (8, 3)])
+def test_traces_scale_by_subfield_powers(r, n):
+    # T_k(c a) = c^k T_k(a) for c in F_q: the census derives its T1 blocks
+    # c >= 2 from block 1 by this
+    ctx = build_context(r * n)
+    rng = random.Random(r * n)
+    a = np.array([rng.randrange(ctx.order) for _ in range(200)],
+                 dtype=np.uint64)
+    traces_a = trace_triple(ctx, r, a)
+    for c in ctx.subfield_elements(r)[1:]:
+        scaled = trace_triple(ctx, r, ctx.mul(a, c))
+        for k in range(3):
+            want = ctx.mul(np.broadcast_to(traces_a[k], a.shape).copy(),
+                           ctx.pow(c, k + 1))
+            assert np.array_equal(scaled[k], want), (c, k)
+
+
+@pytest.mark.parametrize("r,n", [(1, 1), (1, 7), (2, 4), (3, 3), (5, 2),
+                                 (6, 1)])
+def test_t1_lift_covers_t1_in_f2(r, n):
+    ctx = build_context(r * n)
+    inputs = np.arange(2 << (r * n - r), dtype=np.uint64)
+    lifted = traces._t1_lift(ctx, r)(inputs)
+    assert np.unique(lifted).size == inputs.size
+    t1 = ctx.relative_trace(lifted, r)
+    assert t1.tolist() == (inputs >> np.uint64(r * n - r)).tolist()
+
+
+@pytest.mark.parametrize("block", [None, 1 << 3])
+@pytest.mark.parametrize("r,n,which", [(1, 6, "three"), (2, 3, "two"),
+                                       (3, 4, "three"), (4, 2, "three"),
+                                       (8, 1, "one")])
+def test_census_text_blocks_are_rows_as_text(r, n, which, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(TraceCensus, "BLOCK", block)
+    census = trace_census(r, n, which)
+    blocks = [list(rows) for rows in census.text_blocks()]
+    assert all(blocks)
+    assert [row for rows in blocks for row in rows] == [
+        tuple(map(str, row)) for row in census.rows()]
+
+
+def test_trace_triple_refuses_r_below_1():
+    ctx = build_context(6)
+    for r in (-1, 0):
+        with pytest.raises(ValueError, match="need r >= 1 dividing 6"):
+            trace_triple(ctx, r, 5)
+    with pytest.raises(ValueError, match="need r >= 1 dividing 6"):
+        check_trace_addition_identities(ctx, -2, 3, 5)
 
 
 def test_subfield_index_is_pivot_gather():
