@@ -104,8 +104,8 @@ def _t1_lift(ctx: FieldContext, r: int):
 
 def _subfield_logs(ctx: FieldContext, r: int) -> tuple:
     """(exp, log), uint64 and int64 arrays over the codes of F_{2^r}*:
-    exp[i] is the code of g^i, i < 2^r - 1, for the primitive g of least
-    code, and log[exp[i]] = i (log[0] = 0 is not a logarithm)."""
+    exp[i] is the code of g^i for i < 2 (2^r - 1), g the primitive element
+    of least code, and log[exp[i]] = i mod 2^r - 1 (log[0] = 0 is none)."""
     q = 1 << r
     code = ctx.subfield_code(r)
     for c in range(1, q):  # F_{2^r}* is cyclic: some g is primitive
@@ -115,9 +115,9 @@ def _subfield_logs(ctx: FieldContext, r: int) -> tuple:
             powers = np.concatenate([powers, ctx.mul(powers, step)])
             step = ctx.mul(step, step)  # g^powers.size
         if not (powers[1:q - 1] == 1).any():  # the order of g is q - 1
-            exp = code(powers[:q - 1])
+            exp = np.tile(code(powers[:q - 1]), 2)
             log = np.zeros(q, dtype=np.int64)
-            log[exp] = np.arange(q - 1)
+            log[exp[:q - 1]] = np.arange(q - 1)
             return exp, log
 
 
@@ -134,9 +134,9 @@ class TraceCensus(Mapping):
 
     Only the elements with T1 in F_2 are swept: one sweep of the key
     through `_t1_lift`, 2^(rn - r + 1) inputs, gives the blocks of T1 = 0
-    and 1.  Every other block is a gather of block 1, since a -> c a, for
-    c in F_{2^r}*, maps the class (1, t2, t3) onto (c, c^2 t2, c^3 t3):
-    T_k(c a) = c^k T_k(a)."""
+    and 1, the one array kept.  Every other block is a gather of block 1
+    when read (`_bins`): a -> c a, c in F_{2^r}*, maps (1, t2, t3) onto
+    (c, c^2 t2, c^3 t3), as T_k(c a) = c^k T_k(a)."""
 
     BLOCK = 1 << 14  # bins per block of iteration, and of joined text rows
 
@@ -144,32 +144,32 @@ class TraceCensus(Mapping):
         self._r, self._depth, self._active = r, depth, min(depth, n)
         self._pack, key = _census_key(r, n, self._active, cap)
         self._ctx = build_context(r * n)
-        self._hist = np.zeros(1 << r * self._active, dtype=np.int64)
         lift = _t1_lift(self._ctx, r)
-        swept = anf.sweep(r * n - r + 1, lambda x: key(lift(x)), self._active)
-        self._hist[:swept.size] = swept
-        self._scale_blocks()
-        self._len = int(np.count_nonzero(self._hist))
+        self._hist = anf.sweep(r * n - r + 1, lambda x: key(lift(x)),
+                               self._active)  # T1 blocks 0 and 1
+        self._logs = _subfield_logs(self._ctx, r) if self._active > 1 else None
+        zero, one = self._hist.reshape(2, -1)  # a gather keeps nnz and sum
+        self._len, self._total = (int(f(zero)) + ((1 << r) - 1) * int(f(one))
+                                  for f in (np.count_nonzero, np.sum))
 
-    def _scale_blocks(self):
-        """Fill each T1 block c >= 2 from block 1: bin (c, t2, t3) is bin
-        (1, t2 c^-2, t3 c^-3), one gather along each later trace, with the
-        codes of t c^-k from discrete logarithms (`_subfield_logs`)."""
-        r, active = self._r, self._active
-        q = 1 << r
-        blocks = self._hist.reshape((q,) * active)
+    def _bins(self, start: int, stop: int):
+        """The bins of T1 codes start <= c < stop, flat and read-only, in
+        code order: blocks 0 and 1 are the sweep's, and bin (c, t2, t3) of a
+        block c >= 2 is bin (1, t2 c^-2, t3 c^-3), one gather of block 1
+        along each later trace; with one trace it is bin 1, a broadcast."""
+        r, active, hist = self._r, self._active, self._hist
         if active == 1:  # a class per T1, each of 2^(rn - r) elements
-            blocks[2:] = blocks[1]
-            return
-        exp, log = _subfield_logs(self._ctx, r)
-        exp = np.tile(exp, 4)  # logs below 4 (q - 1) need no reduction
-        for c in range(2, q):
-            block = blocks[1]
+            return hist[np.minimum(np.arange(start, stop), 1)]
+        (exp, log), q, span = self._logs, 1 << r, hist.size // 2
+        blocks = [hist[start * span:stop * span]]  # of blocks 0 and 1
+        for c in range(max(start, 2), stop):
+            block = hist[span:].reshape((q,) * (active - 1))
             for axis, k in enumerate(range(2, active + 1)):
-                index = exp[log + k * (q - 1 - log[c])]  # code of t c^-k
+                index = exp[log + (k * (q - 1 - log[c]) % (q - 1))]  # t c^-k
                 index[0] = 0
                 block = block.take(index, axis=axis)
-            blocks[c] = block
+            blocks.append(block.ravel())
+        return np.concatenate(blocks) if stop - start > 1 else blocks[-1]
 
     @property
     def counts(self):
@@ -178,7 +178,7 @@ class TraceCensus(Mapping):
 
     @property
     def total(self) -> int:
-        return int(self._hist.sum())
+        return self._total
 
     def get(self, key, default=0):
         return super().get(key, default)
@@ -198,9 +198,9 @@ class TraceCensus(Mapping):
     def __getitem__(self, key):
         try:
             if len(key) == self._depth and not any(key[self._active:]):
-                packed = self._pack(key)
-                if packed < self._hist.size and self._hist[packed]:
-                    return int(self._hist[packed])
+                c, low = divmod(self._pack(key), self._hist.size // 2)
+                if count := int(self._bins(c, c + 1)[low]):
+                    return count
         except (TypeError, AssertionError):  # not a key; not in the subfield
             pass
         raise KeyError(key)
@@ -230,7 +230,7 @@ class TraceCensus(Mapping):
         elements of its leading codes, decoded on lanes, with the shared
         `subfield_elements(r)` for each later trace, kept where a bin is
         nonzero: code order is the product's order."""
-        r, active, hist = self._r, self._active, self._hist
+        r, active = self._r, self._active
 
         def cast(values):
             return list(map(str, values)) if text else values
@@ -242,7 +242,7 @@ class TraceCensus(Mapping):
             stop = min(start + step, 1 << r)
             lead = self._ctx.subfield_element(
                 r, np.arange(start, stop, dtype=np.uint64)).tolist()
-            bins = hist[start * span:stop * span]
+            bins = self._bins(start, stop)
             nonzero = bins != 0
             yield (compress(product(cast(lead), *tail),
                             nonzero.view(np.uint8).tobytes()),
@@ -256,8 +256,8 @@ def trace_census(r: int, n: int, which: str = "three",
                  cap: int = DEFAULT_ENUM_CAP) -> TraceCensus:
     """Census of F_{2^(rn)} by the first traces relative to F_{2^r}: one
     chunked sweep of the 2^(rn - r + 1) elements with T1 in F_2, whose
-    counts, scaled by F_{2^r}*, fill 2^(r min(n, depth)) counts kept as one
-    array (`TraceCensus`)."""
+    counts, T1 blocks 0 and 1, are all it keeps; every other T1 block is
+    read from block 1 by F_{2^r}* scaling (`TraceCensus`)."""
     if which not in _WHICH_DEPTH:
         raise ValueError(f"which must be one, two or three, got {which!r}")
     return TraceCensus(r, n, _WHICH_DEPTH[which], cap)

@@ -92,10 +92,10 @@ def test_count_traces_budget_error(capsys):
     assert code == 2 and "budget" in err
 
 
-def run_capped(*argv, cap=2 << 30):
-    """The CLI in a child whose address space is capped at `cap` bytes, so
-    that an allocation beyond that fails there instead of loading the
-    machine."""
+def run_python_capped(*args, cap=2 << 30):
+    """The interpreter on `args` in a child whose address space is capped
+    at `cap` bytes, so that an allocation beyond that fails there instead
+    of loading the machine."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
@@ -104,9 +104,13 @@ def run_capped(*argv, cap=2 << 30):
                PYTHONPATH=os.pathsep.join(
                    [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     return subprocess.run(
-        [sys.executable, "-m", "trace3.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=cap_address_space)
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120, preexec_fn=cap_address_space)
+
+
+def run_capped(*argv, cap=2 << 30):
+    """The CLI in a capped child (`run_python_capped`)."""
+    return run_python_capped("-m", "trace3.cli", *argv, cap=cap)
 
 
 def test_count_traces_refuses_sweep_beyond_32_bits():
@@ -186,10 +190,15 @@ def test_json_census_streams_within_512_mib():
 
 
 def test_uncaught_exception_exits_3():
-    # sweeps hold one chunk, but a census over F_{2^10} at n = 3 has 2^30
-    # codes: within --max-bits 40, its histogram is not within the cap
-    proc = run_capped("count-traces", "--r", "10", "--n", "3",
-                      "--max-bits", "40")
+    # an allocation that fails inside a command is an internal error
+    code = ("import sys\n"
+            "from trace3 import cli, traces\n"
+            "def out_of_memory(*args, **kwargs):\n"
+            "    raise MemoryError('no room for the counts')\n"
+            "traces.trace_census = out_of_memory\n"
+            "sys.exit(cli.main(['count-traces', '--r', '10', '--n', '3',\n"
+            "                   '--max-bits', '40']))\n")
+    proc = run_python_capped("-c", code)
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1

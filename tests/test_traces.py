@@ -20,6 +20,8 @@ from trace3.traces import (PrefixPoly, TraceCensus,
                            is_irreducible, joint_zero_identity_check,
                            trace_census, trace_class_count, trace_triple)
 
+from test_cli import run_python_capped
+
 
 def naive_trace_triple(ctx, r, a):
     """Direct double/triple sums over conjugates; the independent oracle."""
@@ -240,15 +242,21 @@ def one_sweep_census(r, n, which):
     return sweep(r * n, key, active)
 
 
-def decoded_items(ctx, r, hist, depth, active):
-    """(key, count) of every nonzero bin of a census histogram, code order."""
-    codes = np.flatnonzero(hist)
+def decoded_keys(ctx, r, codes, depth, active):
+    """The census key of each packed code, padded with 0 to depth traces."""
     sub = np.array(ctx.subfield_elements(r), dtype=np.uint64)
     mask = (1 << r) - 1
     parts = [sub[codes >> r * (active - 1 - i) & mask].tolist()
              for i in range(active)]
     parts += [[0] * codes.size] * (depth - active)
-    return list(zip(zip(*parts), hist[codes].tolist()))
+    return list(zip(*parts))
+
+
+def decoded_items(ctx, r, hist, depth, active):
+    """(key, count) of every nonzero bin of a census histogram, code order."""
+    codes = np.flatnonzero(hist)
+    return list(zip(decoded_keys(ctx, r, codes, depth, active),
+                    hist[codes].tolist()))
 
 
 @pytest.mark.parametrize("m", range(1, 19))
@@ -259,7 +267,13 @@ def test_census_matches_one_sweep_reference(m):
         for depth, which in ((1, "one"), (2, "two"), (3, "three")):
             expected = one_sweep_census(r, n, which)
             census = trace_census(r, n, which)
-            assert np.array_equal(census._hist, expected), (r, which)
+            # every bin, present or absent, through the public mapping
+            keys = decoded_keys(ctx, r, np.arange(expected.size), depth,
+                                min(depth, n))
+            assert [census.get(key) for key in keys] == expected.tolist(), (
+                r, which)
+            assert len(census) == np.count_nonzero(expected), (r, which)
+            assert census.total == expected.sum(), (r, which)
             items = decoded_items(ctx, r, expected, depth, min(depth, n))
             assert list(census.items()) == items, (r, which)
             assert list(census.rows()) == [
@@ -403,6 +417,32 @@ def test_wide_class_count_builds_no_histogram_of_the_classes():
                           preexec_fn=cap_address_space)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{count_all_zero_traces(8, 3)}\n"
+
+
+def test_census_holds_only_what_it_swept():
+    # (10, 3) has 2^30 codes, 8 GiB as one int64 count each, past the 2 GiB
+    # cap; the 2^21 bins of T1 blocks 0 and 1 are all a census keeps, and
+    # the blocks c >= 2 read through the F_q* action match class counts
+    code = """
+import tracemalloc
+from trace3.field import build_context
+from trace3.traces import trace_census, trace_class_count
+census = trace_census(10, 3, cap=30)
+print(census.total == 1 << 30)
+ctx = build_context(30)
+sub = ctx.subfield_elements(10)
+keys = [(b, ctx.mul(b, b), ctx.pow(b, 3)) for b in sub[2:1024:300]]
+keys += [(sub[2], sub[5], sub[7]), (sub[-1], 0, sub[3]), (sub[100], 1, 0)]
+counts = [census.get(key) for key in keys]
+print(counts == [trace_class_count(10, 3, key, cap=30) for key in keys])
+print(min(counts[:4]) > 0)
+tracemalloc.start()
+trace_census(13, 2, "two")
+print(tracemalloc.get_traced_memory()[1] <= 32 << 20)
+"""
+    proc = run_python_capped("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n" * 4
 
 
 @pytest.mark.parametrize("bits", [1, 8, 9, 16, 17])
