@@ -5,9 +5,8 @@ supersingular Artin-Schreier curve families."""
 __version__ = "0.1.0"
 
 from .field import BudgetError, FieldContext, build_context
-from .traces import (PrefixPoly, TraceCensus, count_irreducibles_with_prefix,
-                     is_irreducible, trace_census, trace_class_count,
-                     trace_triple)
+from .traces import (TraceCensus, count_irreducibles_with_prefix,
+                     trace_census, trace_class_count, trace_triple)
 from .closedforms import (carlitz_count, count_all_zero_traces,
                           count_three_traces, count_two_traces, gauss_count,
                           irreducible_all_zero)

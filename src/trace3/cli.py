@@ -6,10 +6,12 @@ JSON is the canonical machine format (integers serialized as decimal
 strings); CSV and Markdown are views.  Exit codes: 0 success / all checks
 pass, 1 verification mismatch, 2 usage or budget error, 3 internal error
 (any other exception, MemoryError included, reported as one stderr
-line).  Output is byte-deterministic for fixed arguments: `verify --timing`
-writes one line per check to stderr.  Every exhaustive count (an `anf`
-sweep, or the candidates of a prefix count) is refused by `anf.check_sweep`
-with exit code 2 beyond `--max-bits` or 2^32 inputs.
+line), 141 when the reader of stdout closed it first (silently, the status
+a shell gives a writer ended by SIGPIPE).  Output is byte-deterministic
+for fixed arguments: `verify --timing` writes one line per check to
+stderr.  Every exhaustive count (an `anf` sweep, or the candidates of a
+prefix count) is refused by `anf.check_sweep` with exit code 2 beyond
+`--max-bits` or 2^32 inputs.
 """
 
 import argparse
@@ -433,10 +435,16 @@ def main(argv=None) -> int:
             _apply_config(parser, args)
             args = parser.parse_args(argv)
         args.max_bits = _budget(args.max_bits)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe is met here, not at exit
+        return code
     except (BudgetError,) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader has gone: no message
+        # the final flush at exit then writes what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -354,14 +354,19 @@ class FieldContext:
         return self._subfield(r)[0]
 
     def _subfield(self, r: int) -> tuple:
-        """(subfield_basis(r), its byte tables)."""
+        """(subfield_basis(r), its byte tables, the byte tables of the map
+        taking the bits of v at the leading bits of the basis to the low
+        bits, v's code if v is in the subfield)."""
         entry = self._subfields.get(r)
         if entry is None:
             self._check_divisor(r)
             kernel, _ = kernel_basis([self.frobenius(1 << i, r) ^ 1 << i
                                       for i in range(self.m)])
             assert len(kernel) == r, (self.m, r, len(kernel))
-            entry = self._subfields[r] = (tuple(kernel), _byte_tables(kernel))
+            lead = {b.bit_length() - 1: 1 << j for j, b in enumerate(kernel)}
+            entry = self._subfields[r] = (
+                tuple(kernel), _byte_tables(kernel),
+                _byte_tables([lead.get(i, 0) for i in range(self.m)]))
         return entry
 
     def subfield_element(self, r: int, c):
@@ -376,16 +381,16 @@ class FieldContext:
 
     def subfield_code(self, r: int):
         """v -> code of v (its index in `subfield_elements(r)`): the bits of
-        v at the leading bits of `subfield_basis(r)`, a GF(2)-linear map, of
-        an int or of each lane of a uint64 array; AssertionError for v
-        outside F_{2^r}."""
-        pivots = [b.bit_length() - 1 for b in self.subfield_basis(r)]
+        v at the leading bits of `subfield_basis(r)`, a GF(2)-linear map
+        applied through its byte tables, of an int or of each lane of a
+        uint64 array; AssertionError for v outside F_{2^r}."""
+        _, element, extract = self._subfield(r)
 
         def code(v):
-            c = 0
-            for j, p in enumerate(pivots):
-                c |= ((v >> p) & 1) << j
-            if np.count_nonzero(self.subfield_element(r, c) ^ v):
+            c = self._linear(extract, v)
+            off = self._linear(element, c) ^ v  # nonzero off the subfield
+            # an int skips numpy: a census lookup packs a key per call
+            if (bool if type(off) is int else np.count_nonzero)(off):
                 raise AssertionError("swept values left the subfield")
             return c
         return code

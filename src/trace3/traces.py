@@ -5,14 +5,13 @@ prescribed leading coefficients.
 The counts test every candidate polynomial: Rabin's deterministic test runs
 on blocks of candidates at once, as numpy lanes, with the gcd of each lane
 decided by a fixed number of Bernstein-Yang divsteps.  Over GF(2) with
-degree <= 32 a polynomial is one uint64 lane; otherwise, up to
-F_{2^LOG_MAX_DEGREE}, its coefficients are a row of an array multiplied
-through the field's log/antilog tables.  The scalar `is_irreducible` is
-the reference, and the route for larger fields.
+degree <= 32 a polynomial is one uint64 lane; otherwise its coefficients
+are a row of an array, multiplied through the field's log/antilog tables
+up to F_{2^LOG_MAX_DEGREE}, by the windowed product on uint64 lanes up to
+F_{2^MAX_SWEEP_BITS}, and by the same int kernels on object lanes above.
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, compress, product
 from operator import add
@@ -21,8 +20,8 @@ import numpy as np
 
 from . import anf, gf2x
 from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE,
-                    FieldContext, _apply, _byte_tables, build_context,
-                    kernel_basis)
+                    MAX_SWEEP_BITS, FieldContext, _apply, _byte_tables,
+                    build_context, kernel_basis)
 from .residues import check_rn
 
 
@@ -181,7 +180,7 @@ class TraceCensus(Mapping):
         return self._total
 
     def get(self, key, default=0):
-        return super().get(key, default)
+        return self._count(key) or default
 
     def rows(self):
         """(t1_bits, t2_bits, t3_bits, count) rows in key (= code) order."""
@@ -196,14 +195,31 @@ class TraceCensus(Mapping):
                 for keys, counts in self._blocks(3, text=True))
 
     def __getitem__(self, key):
-        try:
-            if len(key) == self._depth and not any(key[self._active:]):
-                c, low = divmod(self._pack(key), self._hist.size // 2)
-                if count := int(self._bins(c, c + 1)[low]):
-                    return count
-        except (TypeError, AssertionError):  # not a key; not in the subfield
-            pass
+        if count := self._count(key):
+            return count
         raise KeyError(key)
+
+    def _count(self, key) -> int:
+        """The count of `key`, 0 if it is no class.  It is one swept bin: its
+        own in T1 blocks 0 and 1, else the one bin that `_bins` gathers it
+        from, (c, t2, t3) -> (1, t2 c^-2, t3 c^-3)."""
+        try:
+            if len(key) != self._depth or any(key[self._active:]):
+                return 0
+            code = self._pack(key)
+        except (TypeError, AssertionError):  # not a key; not in the subfield
+            return 0
+        r, active, span = self._r, self._active, self._hist.size // 2
+        c, low = divmod(code, span)
+        if c >= 2 and active > 1:  # with one trace, every c >= 1 reads bin 1
+            (exp, log), q, scaled = self._logs, 1 << r, 0
+            inverse = q - 1 - int(log[c])  # c^-1 = g^inverse
+            for k in range(2, active + 1):  # the later traces, T2 highest
+                t = low >> r * (active - k) & q - 1  # to t c^-k, as in `_bins`
+                scaled = scaled << r | (
+                    int(exp[int(log[t]) + k * inverse % (q - 1)]) if t else 0)
+            low = scaled
+        return int(self._hist[min(c, 1) * span + low])
 
     def __len__(self):
         return self._len
@@ -292,115 +308,7 @@ def trace_class_count(r: int, n: int, traces, cap: int = DEFAULT_ENUM_CAP) -> in
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_{2^r}: irreducibility and prefix counting
-
-@dataclass
-class PrefixPoly:
-    """Monic dense polynomial over F_{2^r}; coeffs[i] is the coefficient of
-    x^i, coeffs[-1] == 1."""
-    r: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs or self.coeffs[-1] != 1:
-            raise ValueError("polynomial must be monic")
-        if any(not 0 <= c < (1 << self.r) for c in self.coeffs):
-            raise ValueError("coefficients must be reduced in F_{2^r}")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def _poly_mulmod(ctx, a, b, mod):
-    """Product of coefficient tuples a, b reduced modulo the monic mod."""
-    n = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] ^= ctx.mul(ai, bj)
-    for d in range(len(prod) - 1, n - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(n):
-                if mod[j]:
-                    prod[d - n + j] ^= ctx.mul(c, mod[j])
-    prod = prod[:n]
-    while len(prod) > 1 and prod[-1] == 0:
-        prod.pop()
-    return tuple(prod)
-
-
-def _poly_gcd_is_one(ctx, a, b):
-    a, b = list(a), list(b)
-
-    def norm(p):
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = norm(a), norm(b)
-    while not (len(b) == 1 and b[0] == 0):
-        # a mod b
-        inv_lead = ctx.inv(b[-1])
-        while len(a) >= len(b) and not (len(a) == 1 and a[0] == 0):
-            shift = len(a) - len(b)
-            c = ctx.mul(a[-1], inv_lead)
-            for j in range(len(b)):
-                a[shift + j] ^= ctx.mul(c, b[j])
-            a = norm(a)
-            if len(a) == 1 and a[0] == 0:
-                break
-        a, b = b, a
-    return len(a) == 1 and a[0] != 0
-
-
-def _frobenius_x_power(ctx, r, k, mod):
-    """x^(2^(rk)) mod the monic polynomial mod, by rk squarings."""
-    if len(mod) == 2:
-        # modulus is linear: x reduces to a constant
-        x = (mod[0],)
-    else:
-        x = (0, 1)
-    t = x
-    for _ in range(r * k):
-        t = _poly_mulmod(ctx, t, t, mod)
-    return t
-
-
-def is_irreducible(p: PrefixPoly) -> bool:
-    """Deterministic irreducibility of p over F_{2^r}: x^(q^n) = x mod p and
-    gcd(x^(q^(n/l)) - x, p) = 1 for each prime l | n, with q = 2^r."""
-    n = p.degree
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    if p.r == 1:
-        packed = 0
-        for i, c in enumerate(p.coeffs):
-            packed |= c << i
-        return gf2x.is_irreducible(packed)
-    ctx = build_context(p.r)
-    mod = p.coeffs
-    x = (0, 1)
-    if _frobenius_x_power(ctx, p.r, n, mod) != x:
-        return False
-    for ell in gf2x.prime_factors(n):
-        t = list(_frobenius_x_power(ctx, p.r, n // ell, mod))
-        while len(t) < 2:
-            t.append(0)
-        t[1] ^= 1  # t - x
-        if not _poly_gcd_is_one(ctx, tuple(t), mod):
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# batched irreducibility: Rabin's test on numpy lanes
+# irreducibility and prefix counting: Rabin's test on numpy lanes
 
 PREFIX_BLOCK = 1 << 16  # most candidates tested at once
 
@@ -485,53 +393,77 @@ def _rabin_packed(n: int, f):
     return ok
 
 
-def _coprime_lanes(ctx: FieldContext, f, g):
-    """Lanes where gcd = 1 over F_{2^r}, r = ctx.m, for polynomials given
-    reversed as (lanes, n + 1) coefficient rows: f = x^n F(1/x) for F of
-    degree n, and g = x^(n-1) G(1/x) for deg G < n, with g[:, n] = 0.
+def _lane_field(r: int) -> tuple:
+    """(dtype, sqr, times) for arrays of elements of F_{2^r}: sqr(a) squares
+    each entry, and times(b) is a -> a * b entrywise, broadcast, with b
+    prepared once for many a.
+
+    Up to LOG_MAX_DEGREE they gather through `lane_tables`, log b taken
+    when b is prepared; up to MAX_SWEEP_BITS they are `FieldContext.mul`
+    and `sqr` on uint64 lanes; above, the same int kernels on object lanes.
+    """
+    ctx = build_context(r)
+    if r <= LOG_MAX_DEGREE:
+        exp, log, sqr = ctx.lane_tables()
+
+        def times(b):
+            log_b = log[b]
+            return lambda a: exp[log[a] + log_b]
+        return sqr.dtype, sqr.__getitem__, times
+    if r <= MAX_SWEEP_BITS:
+        return np.uint64, ctx.sqr, lambda b: partial(ctx.mul, b)
+    mul = np.frompyfunc(ctx.mul, 2, 1)
+    return object, np.frompyfunc(ctx.sqr, 1, 1), lambda b: partial(mul, b)
+
+
+def _coprime_lanes(r: int, f, g):
+    """Lanes where gcd = 1 over F_{2^r}, for polynomials given reversed as
+    (lanes, n + 1) coefficient rows: f = x^n F(1/x) for F of degree n, and
+    g = x^(n-1) G(1/x) for deg G < n, with g[:, n] = 0.
 
     The divsteps of `_coprime_packed`; f(0) is never 0, since a swap brings
     in a g with g(0) != 0.
     """
-    exp, log, _ = ctx.lane_tables()
+    times = _lane_field(r)[2]
     n = f.shape[1] - 1
     delta = np.ones(f.shape[0], dtype=np.int64)
     pad = np.zeros((f.shape[0], 1), dtype=f.dtype)
     for _ in range(2 * n - 1):
         swap = (delta > 0) & (g[:, 0] != 0)
         # column 0 of g(0) f - f(0) g is 0: drop it to divide by x
-        h = np.concatenate([exp[log[g[:, :1]] + log[f[:, 1:]]]
-                            ^ exp[log[f[:, :1]] + log[g[:, 1:]]], pad], axis=1)
+        h = np.concatenate([times(f[:, 1:])(g[:, :1])
+                            ^ times(g[:, 1:])(f[:, :1]), pad], axis=1)
         f = np.where(swap[:, None], g, f)
         delta = np.where(swap, -delta, delta) + 1
         g = h
     return delta == 0
 
 
-def _rabin_lanes(ctx: FieldContext, low):
+def _rabin_lanes(r: int, low):
     """Irreducibility of the monic polynomials x^n + sum_i low[:, i] x^i
-    over F_{2^r}, r = ctx.m <= LOG_MAX_DEGREE, one per row; n >= 2.
+    over F_{2^r}, one per row; n >= 2.
 
-    Coefficients are held in (lanes, n) arrays; products are gathers through
-    the log/antilog arrays, squares a gather through the squaring array.
+    Coefficients are held in (lanes, n) arrays of the `_lane_field`
+    dtype; a reduction step multiplies one column by the lane's own low
+    coefficients, prepared once.
     """
-    exp, log, sqr = ctx.lane_tables()
-    r = ctx.m
+    dtype, sqr, times = _lane_field(r)
     lanes, n = low.shape
-    log_f = log[low]
+    low = low.astype(dtype)
+    times_f = times(low)
     stops = {n // ell for ell in gf2x.prime_factors(n)}
-    x = np.zeros((lanes, n), dtype=sqr.dtype)
+    x = np.zeros((lanes, n), dtype=dtype)
     x[:, 1] = 1
     t = x
     deg = 1  # bounds the degree of t, as in `_rabin_packed`
-    s = np.zeros((lanes, 2 * n - 1), dtype=sqr.dtype)
+    s = np.zeros((lanes, 2 * n - 1), dtype=dtype)
     snaps = []
     for j in range(r * n):
-        s[:, ::2] = sqr[t]
+        s[:, ::2] = sqr(t)
         s[:, 1::2] = 0
         for k in range(2 * deg, n - 1, -1):
             # subtract s_k x^(k-n) f; columns from k up are not read again
-            s[:, k - n:k] ^= exp[log[s[:, k:k + 1]] + log_f]
+            s[:, k - n:k] ^= times_f(s[:, k:k + 1])
         t = s[:, :n].copy()
         deg = min(2 * deg, n - 1)
         if (j + 1) % r == 0 and (j + 1) // r in stops:
@@ -539,11 +471,11 @@ def _rabin_lanes(ctx: FieldContext, low):
     ok = (t == x).all(axis=1)
     if snaps and ok.any():
         kept = int(np.count_nonzero(ok))
-        f = np.ones((kept, n + 1), dtype=sqr.dtype)
+        f = np.ones((kept, n + 1), dtype=dtype)
         f[:, 1:] = low[ok, ::-1]
-        g = np.zeros((kept * len(snaps), n + 1), dtype=sqr.dtype)
+        g = np.zeros((kept * len(snaps), n + 1), dtype=dtype)
         g[:, :n] = np.concatenate([(v[ok] ^ x[ok])[:, ::-1] for v in snaps])
-        coprime = _coprime_lanes(ctx, np.tile(f, (len(snaps), 1)), g)
+        coprime = _coprime_lanes(r, np.tile(f, (len(snaps), 1)), g)
         ok[ok] = coprime.reshape(len(snaps), -1).all(axis=0)
     return ok
 
@@ -551,14 +483,14 @@ def _rabin_lanes(ctx: FieldContext, low):
 def irreducible_mask(r: int, low) -> np.ndarray:
     """Rabin's test on a batch: entry i says whether the monic polynomial
     x^n + sum_j low[i, j] x^j over F_{2^r} is irreducible, for an integer
-    array low of shape (lanes, n) with entries below 2^r, n >= 2 and
-    r <= LOG_MAX_DEGREE.
+    array low of shape (lanes, n) with entries below 2^r, n >= 2.
 
     One chain of r * n squarings modulo each lane's own polynomial keeps
     x^(q^(n/l)) for every prime l | n; the lanes with x^(q^n) = x go on to a
     divstep gcd of each kept power minus x with the polynomial.  Over GF(2)
     with n <= 32 a polynomial is one uint64 lane (`_rabin_packed`); otherwise
-    its coefficients are a row of a (lanes, n) array (`_rabin_lanes`).
+    its coefficients are a row of a (lanes, n) array (`_rabin_lanes`), whose
+    products come from `_lane_field`.
     """
     lanes, n = low.shape
     if r == 1 and n <= 32:
@@ -566,7 +498,7 @@ def irreducible_mask(r: int, low) -> np.ndarray:
         for i in range(n):
             f |= low[:, i].astype(np.uint64) << i
         return _rabin_packed(n, f)
-    return _rabin_lanes(build_context(r), low)
+    return _rabin_lanes(r, low)
 
 
 def _check_prefix(r: int, n: int, prefix, cap: int) -> int:
@@ -590,15 +522,11 @@ def count_irreducibles_with_prefix(r: int, n: int, t1: int, t2: int, t3: int,
 
     Enumerates all q^(n-3) polynomials with the remaining coefficients free,
     PREFIX_BLOCK at a time: candidate c has the base-q digits of c as its
-    low coefficients, and `irreducible_mask` tests a block at once.  Above
-    LOG_MAX_DEGREE each candidate goes through `is_irreducible`.
+    low coefficients, and `irreducible_mask` tests a block at once.
     """
     q = _check_prefix(r, n, (t1, t2, t3), cap)
     free = n - 3
     top = (t3, t2, t1)
-    if r > LOG_MAX_DEGREE:
-        return sum(is_irreducible(PrefixPoly(r, tail + top + (1,)))
-                   for tail in product(range(q), repeat=free))
     total = 0
     for start in range(0, q ** free, PREFIX_BLOCK):
         c = np.arange(start, min(start + PREFIX_BLOCK, q ** free),

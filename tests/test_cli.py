@@ -92,6 +92,14 @@ def test_count_traces_budget_error(capsys):
     assert code == 2 and "budget" in err
 
 
+def child_env():
+    """The environment of a child interpreter that imports this trace3."""
+    src = os.path.dirname(os.path.dirname(trace3.__file__))
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                PYTHONPATH=os.pathsep.join(
+                    [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 def run_python_capped(*args, cap=2 << 30):
     """The interpreter on `args` in a child whose address space is capped
     at `cap` bytes, so that an allocation beyond that fails there instead
@@ -99,13 +107,9 @@ def run_python_capped(*args, cap=2 << 30):
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    src = os.path.dirname(os.path.dirname(trace3.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env,
-        timeout=120, preexec_fn=cap_address_space)
+        [sys.executable, *args], capture_output=True, text=True,
+        env=child_env(), timeout=120, preexec_fn=cap_address_space)
 
 
 def run_capped(*argv, cap=2 << 30):
@@ -203,6 +207,20 @@ def test_uncaught_exception_exits_3():
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("internal error: MemoryError")
+
+
+def test_closed_pipe_exits_141_silently():
+    # the reader takes 10 bytes of a long CSV and closes the pipe: the
+    # writer stops with the status a shell gives a writer ended by SIGPIPE
+    argv = ["count-traces", "--r", "7", "--n", "3", "--format", "csv"]
+    with subprocess.Popen([sys.executable, "-m", "trace3.cli", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env()) as proc:
+        assert proc.stdout.read(10) == b"t1_bits,t2"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_internal_assertion_exits_3(capsys, monkeypatch):

@@ -14,12 +14,12 @@ from trace3.anf import check_sweep, sweep, sweep_chunks
 from trace3.closedforms import (count_all_zero_traces, gauss_count,
                                 irreducible_all_zero)
 from trace3.field import BudgetError, FieldContext, build_context
-from trace3.traces import (PrefixPoly, TraceCensus,
-                           check_trace_addition_identities,
+from trace3.traces import (TraceCensus, check_trace_addition_identities,
                            count_irreducibles_with_prefix, irreducible_mask,
-                           is_irreducible, joint_zero_identity_check,
-                           trace_census, trace_class_count, trace_triple)
+                           joint_zero_identity_check, trace_census,
+                           trace_class_count, trace_triple)
 
+from poly_reference import PrefixPoly, is_irreducible, poly_gcd_is_one
 from test_cli import run_python_capped
 
 
@@ -616,6 +616,20 @@ def test_irreducible_mask_gf2_beyond_one_word():
         assert mask.tolist() == expected and any(expected)
 
 
+@pytest.mark.parametrize("r", [*range(17, 27), 33, 34, 41, 48, 57, 63, 64])
+def test_irreducible_mask_vs_reference_beyond_log_tables(r):
+    # a seeded sample of what a prefix count enumerates there, quartics on
+    # uint64 lanes and (above 32 bits) cubics on object lanes, against the
+    # scalar reference
+    n = 4 if r <= 32 else 3
+    rng = random.Random(83 + r)
+    low = [[rng.randrange(1 << r) for _ in range(n)] for _ in range(30)]
+    expected = [is_irreducible(PrefixPoly(r, tuple(p) + (1,))) for p in low]
+    mask = irreducible_mask(r, np.array(low, dtype=np.uint64))
+    assert mask.tolist() == expected
+    assert any(expected) and not all(expected)
+
+
 def scalar_prefix_counts(r, n):
     """(t1, t2, t3) -> count, by `is_irreducible` on each candidate."""
     counts = Counter()
@@ -668,7 +682,7 @@ def test_divstep_coprimality_matches_gcd():
         assert got.tolist() == [gf2x.gcd(f, g) == 1 for f, g in zip(fs, gs)]
 
 
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [2, 3, 17, 40])
 def test_divstep_coprimality_over_extension_field(r):
     ctx = build_context(r)
     q = 1 << r
@@ -684,11 +698,12 @@ def test_divstep_coprimality_over_extension_field(r):
         u = (rng.randrange(1, q),) * max(n - 1, 1)
         pairs.append((poly_product(ctx, (c, 1), h),
                       poly_product(ctx, (c, 1), u)[:n]))
-        f = np.array([fp[::-1] for fp, _ in pairs])
-        g = np.zeros((len(pairs), n + 1), dtype=np.int64)
+        dtype = traces._lane_field(r)[0]  # tables, uint64 or object lanes
+        f = np.array([fp[::-1] for fp, _ in pairs], dtype=dtype)
+        g = np.zeros((len(pairs), n + 1), dtype=dtype)
         g[:, :n] = [gp[::-1] for _, gp in pairs]
-        got = traces._coprime_lanes(ctx, f, g)
-        expected = [traces._poly_gcd_is_one(ctx, gp, fp) for fp, gp in pairs]
+        got = traces._coprime_lanes(r, f, g)
+        expected = [poly_gcd_is_one(ctx, gp, fp) for fp, gp in pairs]
         assert got.tolist() == expected
         assert not all(expected) and any(expected)
 
@@ -699,10 +714,12 @@ def test_prefix_count_n20_matches_closed_form():
 
 
 def test_prefix_count_r_above_log_tables():
-    # F_{2^17} takes the scalar path: x^3 + x + 1 stays irreducible over an
-    # extension of degree prime to 3, x^3 + 1 = (x + 1)(x^2 + x + 1)
-    assert count_irreducibles_with_prefix(17, 3, 0, 1, 1) == 1
-    assert count_irreducibles_with_prefix(17, 3, 0, 0, 1) == 0
+    # uint64 lanes up to r = 32, object lanes above: x^3 + x + 1,
+    # irreducible over F_2, has a root in F_{2^r} iff F_8 lies inside, i.e.
+    # iff 3 | r, whatever the route; x^3 + 1 = (x + 1)(x^2 + x + 1)
+    for r in (17, 18, 33, 48, 63, 64):
+        assert count_irreducibles_with_prefix(r, 3, 0, 1, 1) == (r % 3 != 0)
+        assert count_irreducibles_with_prefix(r, 3, 0, 0, 1) == 0
 
 
 def test_joint_zero_identity():
