@@ -45,6 +45,14 @@ def _apply(tables: list, a):
     return r
 
 
+def _widened(lanes: ndarray, *operands):
+    """lanes, as uint64 if an operand is a uint64 array: a sweep's lanes
+    stay uint64, as its map may shift a product past m bits."""
+    if any(type(a) is ndarray and a.dtype == np.uint64 for a in operands):
+        return lanes.astype(np.uint64)
+    return lanes
+
+
 def kernel_basis(images: list) -> tuple:
     """(kernel, complement) of the map sending 1 << i to images[i], by
     bit-packed elimination in the order of i: kernel is an ascending reduced
@@ -96,22 +104,21 @@ class FieldContext:
       8 bits at a time with a table of the multiples of the modulus by
       t * x^m, t < 256, built on the first `mul`.
     - Lanes: `mul`, `sqr`, `frobenius`, the traces and `subfield_element`
-      also take uint64 arrays (one operand of `mul` may be an int), for
-      m <= MAX_SWEEP_BITS, so that a product fits a lane; ValueError
-      above.  `mul` is the windowed product at every such m, each lane
-      gathering its multiple of a per 4 bits of b, reduced through a
-      uint64 copy of the same table; a linear map indexes uint64 copies of
-      its byte tables (`_linear`), made on first use and kept on the
-      context (numpy 1.x turns a mix of uint64 and int64 into float64).
+      also take numpy arrays (one operand of `mul` may be an int).  Lane
+      products and squares take their kernel by m alone, as ints do (see
+      `times`, which prepares one operand for many), and give `lane_dtype`:
+      one or two bytes up to LOG_MAX_DEGREE (uint64 for a uint64 operand,
+      `_widened`), uint64 up to MAX_SWEEP_BITS, and object arrays of ints
+      above, where a uint64 array raises ValueError.  A linear map indexes
+      uint64 copies of its byte tables (`_linear`), made on first use, up
+      to MAX_SWEEP_BITS.  Lanes stay unsigned: numpy 1.x turns a mix of
+      uint64 and int64 into float64.
 
     The subfield F_{2^r} is r ints, the reduced echelon basis of the kernel
     of a -> a^(2^r) + a by `kernel_basis` (the elimination that also gives
     the radicals in `quadforms`), applied through its byte tables; the
     embedding sends the canonical generator of F_{2^r} to the smallest root
     of the degree-r canonical modulus and keeps byte tables of its powers.
-
-    `lane_tables` gives numpy copies of the log/antilog lists and of the
-    squaring map, for products of whole arrays at once (m <= LOG_MAX_DEGREE).
 
     A lazily built table is None until its `_build_` method stores it
     complete, so concurrent callers can at worst build the same table twice.
@@ -122,6 +129,9 @@ class FieldContext:
             raise ValueError(f"degree {m} out of range 1..{MAX_DEGREE}")
         self.m = m
         self.order = 1 << m
+        self.lane_dtype = np.dtype(
+            np.min_scalar_type(self.order - 1) if m <= LOG_MAX_DEGREE
+            else np.uint64 if m <= MAX_SWEEP_BITS else object)
         self.modulus = gf2x.canonical_modulus(m)
         self._sqr = _byte_tables([gf2x.mod(1 << (2 * i), self.modulus)
                                   for i in range(m)])
@@ -148,13 +158,53 @@ class FieldContext:
 
     def mul(self, a, b):
         if type(a) is ndarray or type(b) is ndarray:
-            return self._mul_lanes(a, b)
+            return self.times(a)(b)
         if not (a and b):
             return 0
         if self.m > LOG_MAX_DEGREE:
             return self._mul_window(a, b)
         exp, log = self._exp_log or self._build_exp_log()
         return exp[log[a] + log[b]]
+
+    def times(self, b):
+        """a -> a * b, entrywise and broadcast, for arrays of elements or
+        ints on either side, b prepared once for many a.  Up to
+        LOG_MAX_DEGREE a gather through numpy copies of the log and antilog
+        lists, log b taken here; up to MAX_SWEEP_BITS the windowed product
+        on uint64 lanes, b's 16 multiples built here; above, the int kernel
+        on object lanes."""
+        if self.m <= LOG_MAX_DEGREE:
+            exp, log, _ = self._lanes or self._build_lanes()
+            log_b = log[b]
+            return lambda a: _widened(exp[log[a] + log_b], a, b)
+        if self.m <= MAX_SWEEP_BITS:
+            return self._times_window(b)
+        return partial(self._on_objects, self.mul, b)
+
+    def _times_window(self, b):
+        """`times` by `_mul_window` on uint64 lanes: b's multiples by
+        t < 16 are one flat array of 16 planes, each of b's shape, so the
+        multiple of an entry is read at index t * b.size + its position;
+        m <= MAX_SWEEP_BITS."""
+        b = np.asarray(b, dtype=np.uint64)
+        multiples = np.zeros((16,) + b.shape, dtype=np.uint64)
+        for i in range(4):  # plane t: the carry-less product of b and t
+            multiples[1 << i:2 << i] = multiples[:1 << i] ^ b << i
+        multiples, size = multiples.ravel(), b.size
+        rows = np.arange(size).reshape(b.shape)
+        reduce = (self._reduce or self._build_reduce())[1]
+        m = self.m
+
+        def times_b(a):
+            a = np.asarray(a, dtype=np.intp)  # gather indices; a < 2^32
+            r = np.take(multiples, rows + (a & 15) * size)
+            for shift in range(4, m, 4):
+                at = rows + (a >> shift & 15) * size
+                r ^= np.take(multiples, at) << shift
+            for shift in self._reduce_shifts:  # as in `_mul_window`
+                r ^= reduce[r >> (m + shift)] << shift
+            return r
+        return times_b
 
     def _mul_window(self, a: int, b: int) -> int:
         a2 = a << 1
@@ -178,31 +228,9 @@ class FieldContext:
             r ^= reduce[r >> (m + shift)] << shift
         return r
 
-    def _mul_lanes(self, a, b):
-        """`_mul_window` lane by lane, for uint64 arrays (or an array and an
-        int) and m <= MAX_SWEEP_BITS."""
-        if self.m > MAX_SWEEP_BITS:
-            raise ValueError(f"lane products need m <= {MAX_SWEEP_BITS}, "
-                             f"m = {self.m}")
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=np.uint64),
-                                   np.asarray(b, dtype=np.uint64))
-        shape, a, b = a.shape, a.ravel(), b.ravel()
-        multiples = np.zeros((16, a.size), dtype=np.uint64)
-        for i in range(4):  # row t: the carry-less product of a and t
-            multiples[1 << i:2 << i] = multiples[:1 << i] ^ a << i
-        lanes = np.arange(a.size)
-        r = multiples[b & 15, lanes]
-        for shift in range(4, self.m, 4):
-            r ^= multiples[b >> shift & 15, lanes] << shift
-        reduce = (self._reduce or self._build_reduce())[1]
-        m = self.m
-        for shift in self._reduce_shifts:  # as in `_mul_window`
-            r ^= reduce[r >> (m + shift)] << shift
-        return r.reshape(shape)
-
     def _build_reduce(self) -> tuple:
         """Entry t: the multiple of the modulus whose bits from x^m up are t;
-        as a list and, for lanes (m <= MAX_SWEEP_BITS), a uint64 array."""
+        as a list and, for uint64 lanes (m <= MAX_SWEEP_BITS), an array."""
         m, f = self.m, self.modulus
         table = _span(
             [(1 << (m + i)) ^ gf2x.mod(1 << (m + i), f) for i in range(8)])
@@ -211,49 +239,53 @@ class FieldContext:
         return tables
 
     def _build_exp_log(self) -> tuple:
-        """Antilog (twice over, so that log sums need no reduction) and log
-        lists to the base of the smallest primitive element."""
-        for g in range(1, self.order):
-            times_g = _byte_tables([gf2x.mod(g << i, self.modulus)
-                                    for i in range(self.m)])
-            exp = [1]
-            x = _apply(times_g, 1)
-            while x != 1:
-                exp.append(x)
-                x = _apply(times_g, x)
-            if len(exp) == self.order - 1:
-                break
-        log = [0] * self.order
-        for k, x in enumerate(exp):
-            log[x] = k
-        self._exp_log = tables = (exp + exp, log)
+        """The antilog (twice over, so that log sums need no reduction) and
+        log lists of the lane tables, for ints."""
+        exp, log, _ = self._lanes or self._build_lanes()
+        antilog = exp[:self.order - 1].tolist()  # one int object per element
+        self._exp_log = tables = (antilog + antilog, log.tolist())
         return tables
 
-    def lane_tables(self) -> tuple:
-        """numpy arrays (exp, log, sqr) with exp[log[a] + log[b]] == a * b
-        for all a, b, zero included, and sqr[a] == a * a; m <= LOG_MAX_DEGREE.
-
-        exp is the doubled antilog list followed by zeros, and log[0] points
-        past the antilog list, so a sum with log[0] lands in the zeros.
-        Built on first use."""
-        return self._lanes or self._build_lanes()
-
     def _build_lanes(self) -> tuple:
-        if self.m > LOG_MAX_DEGREE:
-            raise ValueError(f"array tables need m <= {LOG_MAX_DEGREE}")
-        exp, log = self._exp_log or self._build_exp_log()
-        zero = len(exp)  # 2 * (order - 1)
-        dtype = np.min_scalar_type(self.order - 1)
-        exp_np = np.zeros(2 * zero + 1, dtype=dtype)
-        exp_np[:zero] = exp
-        log_np = np.array(log, dtype=np.int32)
-        log_np[0] = zero
-        sqr_np = self.sqr(np.arange(self.order, dtype=np.uint64)).astype(dtype)
-        self._lanes = tables = (exp_np, log_np, sqr_np)
+        """numpy (exp, log, sqr) for m <= LOG_MAX_DEGREE, log int32 and the
+        others of `lane_dtype`: exp[log[a] + log[b]] == a * b for all a, b,
+        zero included, and sqr[a] == a * a.  exp is the antilog list to the
+        base of the smallest primitive element g, twice over, then zeros;
+        log[0] points past the antilog lists, so a sum with it lands in the
+        zeros.  The powers of each candidate g come by doubling on lanes."""
+        size = self.order - 1
+        exp = np.zeros(4 * size + 1, dtype=self.lane_dtype)
+        for g in range(1, self.order):  # F* is cyclic: some g is primitive
+            exp[0], k, step = 1, 1, g
+            while k < size:  # exp[:k] holds g^i for i < k, step = g^k
+                exp[k:2 * k] = self._times_window(step)(exp[:k])
+                k, step = 2 * k, self._mul_window(step, step)
+            if not (exp[1:size] == 1).any():  # the order of g is size
+                break
+        exp[size:2 * size] = exp[:size]
+        exp[2 * size:] = 0
+        log = np.empty(self.order, dtype=np.int32)
+        log[exp[:size]] = np.arange(size)
+        log[0] = 2 * size
+        self._lanes = tables = (exp, log, exp[2 * log])  # a^2 = g^(2 log a)
         return tables
 
     def sqr(self, a):
-        return self._linear(self._sqr, a)
+        """a * a, of an int or entrywise of an array by the rule of `times`:
+        a gather, the linear map on uint64 lanes, or object lanes."""
+        if type(a) is not ndarray or LOG_MAX_DEGREE < self.m <= MAX_SWEEP_BITS:
+            return self._linear(self._sqr, a)
+        if self.m <= LOG_MAX_DEGREE:
+            return _widened((self._lanes or self._build_lanes())[2][a], a)
+        return self._on_objects(self.sqr, a)
+
+    def _on_objects(self, kernel, *lanes):
+        """The int kernel entrywise on object lanes (or ints), for m above
+        MAX_SWEEP_BITS, where a product of two elements overflows uint64."""
+        if any(type(a) is ndarray and a.dtype != object for a in lanes):
+            raise ValueError(f"lane products need m <= {MAX_SWEEP_BITS}, "
+                             f"m = {self.m}")
+        return np.frompyfunc(kernel, len(lanes), 1)(*lanes)
 
     def _linear(self, tables: list, a):
         """The image of a under the map of byte tables `tables`: of an int,

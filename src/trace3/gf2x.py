@@ -11,17 +11,6 @@ def degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-    return r
-
-
 def mod(a: int, f: int) -> int:
     """Remainder of a modulo f (f != 0)."""
     df = degree(f)

@@ -6,9 +6,8 @@ The counts test every candidate polynomial: Rabin's deterministic test runs
 on blocks of candidates at once, as numpy lanes, with the gcd of each lane
 decided by a fixed number of Bernstein-Yang divsteps.  Over GF(2) with
 degree <= 32 a polynomial is one uint64 lane; otherwise its coefficients
-are a row of an array, multiplied through the field's log/antilog tables
-up to F_{2^LOG_MAX_DEGREE}, by the windowed product on uint64 lanes up to
-F_{2^MAX_SWEEP_BITS}, and by the same int kernels on object lanes above.
+are a row of an array of the field's `lane_dtype`, squared and multiplied
+by the field's lane kernels (`FieldContext.sqr` and `times`).
 """
 
 from collections.abc import Mapping
@@ -19,9 +18,8 @@ from operator import add
 import numpy as np
 
 from . import anf, gf2x
-from .field import (DEFAULT_ENUM_CAP, LOG_MAX_DEGREE, MAX_DEGREE,
-                    MAX_SWEEP_BITS, FieldContext, _apply, _byte_tables,
-                    build_context, kernel_basis)
+from .field import (DEFAULT_ENUM_CAP, MAX_DEGREE, FieldContext, _apply,
+                    _byte_tables, build_context, kernel_basis)
 from .residues import check_rn
 
 
@@ -393,29 +391,6 @@ def _rabin_packed(n: int, f):
     return ok
 
 
-def _lane_field(r: int) -> tuple:
-    """(dtype, sqr, times) for arrays of elements of F_{2^r}: sqr(a) squares
-    each entry, and times(b) is a -> a * b entrywise, broadcast, with b
-    prepared once for many a.
-
-    Up to LOG_MAX_DEGREE they gather through `lane_tables`, log b taken
-    when b is prepared; up to MAX_SWEEP_BITS they are `FieldContext.mul`
-    and `sqr` on uint64 lanes; above, the same int kernels on object lanes.
-    """
-    ctx = build_context(r)
-    if r <= LOG_MAX_DEGREE:
-        exp, log, sqr = ctx.lane_tables()
-
-        def times(b):
-            log_b = log[b]
-            return lambda a: exp[log[a] + log_b]
-        return sqr.dtype, sqr.__getitem__, times
-    if r <= MAX_SWEEP_BITS:
-        return np.uint64, ctx.sqr, lambda b: partial(ctx.mul, b)
-    mul = np.frompyfunc(ctx.mul, 2, 1)
-    return object, np.frompyfunc(ctx.sqr, 1, 1), lambda b: partial(mul, b)
-
-
 def _coprime_lanes(r: int, f, g):
     """Lanes where gcd = 1 over F_{2^r}, for polynomials given reversed as
     (lanes, n + 1) coefficient rows: f = x^n F(1/x) for F of degree n, and
@@ -424,15 +399,16 @@ def _coprime_lanes(r: int, f, g):
     The divsteps of `_coprime_packed`; f(0) is never 0, since a swap brings
     in a g with g(0) != 0.
     """
-    times = _lane_field(r)[2]
+    times = build_context(r).times
     n = f.shape[1] - 1
     delta = np.ones(f.shape[0], dtype=np.int64)
     pad = np.zeros((f.shape[0], 1), dtype=f.dtype)
     for _ in range(2 * n - 1):
         swap = (delta > 0) & (g[:, 0] != 0)
-        # column 0 of g(0) f - f(0) g is 0: drop it to divide by x
-        h = np.concatenate([times(f[:, 1:])(g[:, :1])
-                            ^ times(g[:, 1:])(f[:, :1]), pad], axis=1)
+        # column 0 of g(0) f - f(0) g is 0: drop it to divide by x; the
+        # (lanes, 1) columns g(0) and f(0) are prepared, not the blocks
+        h = np.concatenate([times(g[:, :1])(f[:, 1:])
+                            ^ times(f[:, :1])(g[:, 1:]), pad], axis=1)
         f = np.where(swap[:, None], g, f)
         delta = np.where(swap, -delta, delta) + 1
         g = h
@@ -443,14 +419,15 @@ def _rabin_lanes(r: int, low):
     """Irreducibility of the monic polynomials x^n + sum_i low[:, i] x^i
     over F_{2^r}, one per row; n >= 2.
 
-    Coefficients are held in (lanes, n) arrays of the `_lane_field`
-    dtype; a reduction step multiplies one column by the lane's own low
-    coefficients, prepared once.
+    Coefficients are held in (lanes, n) arrays of the field's `lane_dtype`;
+    a reduction step multiplies one column by the lane's own low
+    coefficients, prepared once (`FieldContext.times`).
     """
-    dtype, sqr, times = _lane_field(r)
+    ctx = build_context(r)
+    dtype = ctx.lane_dtype
     lanes, n = low.shape
     low = low.astype(dtype)
-    times_f = times(low)
+    times_f = ctx.times(low)
     stops = {n // ell for ell in gf2x.prime_factors(n)}
     x = np.zeros((lanes, n), dtype=dtype)
     x[:, 1] = 1
@@ -459,7 +436,7 @@ def _rabin_lanes(r: int, low):
     s = np.zeros((lanes, 2 * n - 1), dtype=dtype)
     snaps = []
     for j in range(r * n):
-        s[:, ::2] = sqr(t)
+        s[:, ::2] = ctx.sqr(t)
         s[:, 1::2] = 0
         for k in range(2 * deg, n - 1, -1):
             # subtract s_k x^(k-n) f; columns from k up are not read again
@@ -490,7 +467,7 @@ def irreducible_mask(r: int, low) -> np.ndarray:
     divstep gcd of each kept power minus x with the polynomial.  Over GF(2)
     with n <= 32 a polynomial is one uint64 lane (`_rabin_packed`); otherwise
     its coefficients are a row of a (lanes, n) array (`_rabin_lanes`), whose
-    products come from `_lane_field`.
+    products come from the field's lane kernels.
     """
     lanes, n = low.shape
     if r == 1 and n <= 32:

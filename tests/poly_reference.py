@@ -27,6 +27,17 @@ class PrefixPoly:
         return len(self.coeffs) - 1
 
 
+def clmul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2) polynomials packed in ints."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+    return r
+
+
 def poly_mulmod(ctx, a, b, mod):
     """Product of coefficient tuples a, b reduced modulo the monic mod."""
     n = len(mod) - 1

@@ -161,27 +161,54 @@ def test_trace_dual_matches_trace_of_products(m):
         for j in range(m))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 16])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 16, 17, 24, 32, 33, 48, 64])
 def test_lane_tables_match_mul(m):
-    """exp[log a + log b] = a * b for all a, b (zero included) and
-    sqr[a] = a * a, on a fresh context; all pairs for m <= 8."""
+    """times(b)(a) = a * b lane by lane, of the field's `lane_dtype`, on a
+    fresh context: all pairs for m <= 8 (zero included), else random ones
+    with zeros on either side; against uint64 lanes; an int on either side;
+    a (lanes, 1) column against a (lanes, n) block, as the prefix-count
+    engine broadcasts.  Squares match too, over the whole field up to
+    m = 16, where they are a gather through a table of it."""
     ctx = FieldContext(m)
-    exp, log, sqr = ctx.lane_tables()
+    dtype = ctx.lane_dtype
+    assert dtype == (np.uint8 if m <= 8 else np.uint16 if m <= 16
+                     else np.uint64 if m <= 32 else object)
     if m <= 8:
-        a, b = np.divmod(np.arange(1 << (2 * m)), 1 << m)
+        xs, ys = np.divmod(np.arange(1 << (2 * m)), 1 << m)
+        xs, ys = xs.tolist(), ys.tolist()
     else:
-        rng = np.random.default_rng(m)
-        a, b = rng.integers(0, 1 << m, size=(2, 4000))
-        a[:50] = 0
-        b[50:100] = 0
-    got = exp[log[a] + log[b]]
-    assert got.tolist() == [ctx.mul(x, y)
-                            for x, y in zip(a.tolist(), b.tolist())]
-    assert sqr.tolist() == [gf2x.mulmod(x, x, ctx.modulus)
-                            for x in range(ctx.order)]
-    assert ctx.lane_tables() is ctx.lane_tables()
-    with pytest.raises(ValueError):
-        FieldContext(17).lane_tables()
+        rng = random.Random(m)
+        xs = _lane_samples(ctx, rng, 800)
+        ys = [rng.randrange(ctx.order) for _ in xs]
+        xs[-50:] = [0] * 50
+        ys[-100:-50] = [0] * 50
+    a, b = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+    expected = [ctx.mul(x, y) for x, y in zip(xs, ys)]
+    for got in ctx.times(b)(a), ctx.times(a)(b), ctx.mul(a, b):
+        assert got.dtype == dtype
+        assert got.tolist() == expected
+    if m <= 32:  # a narrow operand against uint64 lanes: uint64, no float64
+        wide = b.astype(np.uint64)
+        assert ctx.times(a)(wide).dtype == ctx.times(wide)(a).dtype == np.uint64
+        assert ctx.times(a)(wide).tolist() == expected
+    y = ys[-1]
+    assert ctx.times(y)(a).tolist() == [ctx.mul(x, y) for x in xs]
+    assert ctx.times(a)(y).tolist() == [ctx.mul(x, y) for x in xs]
+    assert ctx.times(0)(a).tolist() == [0] * len(xs)
+    lanes = len(xs) // 5
+    column, block = a[:lanes, None], b[:5 * lanes].reshape(lanes, 5)
+    got = ctx.times(column)(block)
+    assert got.dtype == dtype and got.shape == (lanes, 5)
+    assert got.tolist() == [[ctx.mul(x, z) for z in row]
+                            for x, row in zip(xs, block.tolist())]
+    assert ctx.times(block)(column).tolist() == got.tolist()
+    squares = ctx.sqr(a)
+    assert squares.dtype == dtype
+    assert squares.tolist() == [ctx.sqr(x) for x in xs]
+    if m <= 16:
+        every = ctx.sqr(np.arange(ctx.order, dtype=np.uint64))
+        assert every.tolist() == [gf2x.mulmod(x, x, ctx.modulus)
+                                  for x in range(ctx.order)]
 
 
 def _lane_samples(ctx, rng, count):
@@ -194,7 +221,8 @@ def _lane_samples(ctx, rng, count):
 
 @pytest.mark.parametrize("m", range(1, 33))
 def test_lane_mul_matches_mul(m):
-    # lanes use the window at every m, ints the log tables up to m = 16
+    # lanes and ints share a kernel: log tables up to m = 16, window above;
+    # uint64 lanes, as a sweep passes them, stay uint64 at every m
     ctx = build_context(m)
     rng = random.Random(m)
     xs = _lane_samples(ctx, rng, 200)
@@ -279,6 +307,23 @@ def test_log_tables_trivial_group():
     assert ctx.inv(1) == 1 and ctx.pow(1, 5) == 1 and ctx.pow(1, -2) == 1
     assert ctx.pow(0, 3) == 0 and ctx.pow(0, 0) == 1
     assert ctx.sqr(1) == 1 and ctx.frobenius(1, 7) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 11, 16])
+def test_log_tables_match_a_loop_of_products(m):
+    """The antilog list, built by doubling on lanes, is the powers of the
+    smallest primitive element, as one product per power finds them."""
+    ctx = FieldContext(m)
+    exp, log = ctx._build_exp_log()
+    for g in range(1, ctx.order):
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = gf2x.mulmod(x, g, ctx.modulus)
+        if len(powers) == ctx.order - 1:
+            break
+    assert exp == powers + powers
+    assert [log[x] for x in powers] == list(range(ctx.order - 1))
 
 
 def test_kernels_do_not_call_mulmod(monkeypatch):

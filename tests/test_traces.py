@@ -19,7 +19,8 @@ from trace3.traces import (TraceCensus, check_trace_addition_identities,
                            joint_zero_identity_check, trace_census,
                            trace_class_count, trace_triple)
 
-from poly_reference import PrefixPoly, is_irreducible, poly_gcd_is_one
+from poly_reference import (PrefixPoly, clmul, is_irreducible,
+                            poly_gcd_is_one)
 from test_cli import run_python_capped
 
 
@@ -675,8 +676,8 @@ def test_divstep_coprimality_matches_gcd():
             # a shared factor x^2 + x + 1, and a cofactor of g that is a
             # unit, so that g has full degree n - 1
             b = (1 << (n - 2)) | rng.getrandbits(n - 2)
-            fs.append(gf2x.mul(0b111, b))
-            gs.append(gf2x.mul(0b111, (1 << (n - 3)) | 1))
+            fs.append(clmul(0b111, b))
+            gs.append(clmul(0b111, (1 << (n - 3)) | 1))
         got = traces._coprime_packed(n, np.array(fs, dtype=np.uint64),
                                      np.array(gs, dtype=np.uint64))
         assert got.tolist() == [gf2x.gcd(f, g) == 1 for f, g in zip(fs, gs)]
@@ -698,7 +699,7 @@ def test_divstep_coprimality_over_extension_field(r):
         u = (rng.randrange(1, q),) * max(n - 1, 1)
         pairs.append((poly_product(ctx, (c, 1), h),
                       poly_product(ctx, (c, 1), u)[:n]))
-        dtype = traces._lane_field(r)[0]  # tables, uint64 or object lanes
+        dtype = ctx.lane_dtype  # one or two bytes, uint64 or object lanes
         f = np.array([fp[::-1] for fp, _ in pairs], dtype=dtype)
         g = np.zeros((len(pairs), n + 1), dtype=dtype)
         g[:, :n] = [gp[::-1] for _, gp in pairs]
