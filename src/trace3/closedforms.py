@@ -7,8 +7,9 @@ irreducible polynomials with three zero leading coefficients.
 The deviation tables are `ResidueTable`s (see `residues`): literal rows
 of single terms sign * poly(q) * 2^(r(n+ofs)/2 + plus), evaluated by the
 one exact evaluator there, which asserts that every half-integer power
-cancels.  The root-of-unity forms below are an independent route to the
-same deviations.  Their group weights are r-free integer polynomials in
+cancels.  The root-of-unity forms below, `fourier.PeriodicFormula`s, are
+an independent route to the same deviations: written out for the base
+field; for the all-zero count, group rows with r-free weights in
 u = 2^ceil(r/2) over a denominator, as in `curves`.
 """
 
@@ -16,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .cyclotomic import (Cyc, imaginary_unit, root_group_sum, root_groups,
-                         sqrt2_power)
-from .fourier import PeriodicFormula
+from .cyclotomic import Cyc, imaginary_unit
+from .fourier import PeriodicFormula, deviation, root_group_formula
 from .residues import (ALL_ZERO, BASE_FIELD, PARITY_COLUMNS, ResidueTable,
                        check_rn)
 
@@ -176,12 +176,12 @@ def two_trace_formula(t1: int, t2: int) -> PeriodicFormula:
     i8 = imaginary_unit(8)
     quarter = Fraction(1, 4)
     table = {
-        (0, 0): {3: Cyc.rational(8, -quarter), 5: Cyc.rational(8, -quarter)},
-        (0, 1): {3: Cyc.rational(8, quarter), 5: Cyc.rational(8, quarter)},
+        (0, 0): {3: -quarter, 5: -quarter},
+        (0, 1): {3: quarter, 5: quarter},
         (1, 0): {3: i8.scale(-quarter), 5: i8.scale(quarter)},
         (1, 1): {3: i8.scale(quarter), 5: i8.scale(-quarter)},
     }
-    coeffs = [table[(t1, t2)].get(k, Cyc.rational(8, 0)) for k in range(8)]
+    coeffs = [table[(t1, t2)].get(k, 0) for k in range(8)]
     return PeriodicFormula(8, coeffs, q=2)
 
 
@@ -194,12 +194,7 @@ def three_trace_formula(t1: int, t2: int, t3: int) -> PeriodicFormula:
     {5, 11, 13, 19} (the genus-two quartet).
     """
     i = imaginary_unit(24)
-
-    def rat(x):
-        return Cyc.rational(24, x)
-
-    one = rat(1)
-
+    one = Cyc.rational(24, 1)
     e = Fraction(1, 8)
     q = Fraction(1, 4)
     if t1 == 0:
@@ -207,10 +202,10 @@ def three_trace_formula(t1: int, t2: int, t3: int) -> PeriodicFormula:
         sign_i = {(0, 0): -1, (0, 1): 1, (1, 0): -1, (1, 1): 1}[(t2, t3)]
         sign_w = {(0, 0): -1, (0, 1): 1, (1, 0): 1, (1, 1): -1}[(t2, t3)]
         coeffs = {
-            9: rat(sign_q * q), 15: rat(sign_q * q),
-            6: rat(sign_i * e), 18: rat(sign_i * e),
-            5: rat(sign_w * e), 11: rat(sign_w * e),
-            13: rat(sign_w * e), 19: rat(sign_w * e),
+            9: sign_q * q, 15: sign_q * q,
+            6: sign_i * e, 18: sign_i * e,
+            5: sign_w * e, 11: sign_w * e,
+            13: sign_w * e, 19: sign_w * e,
         }
     else:
         sign_i = {(0, 0): 1, (0, 1): -1, (1, 0): -1, (1, 1): 1}[(t2, t3)]
@@ -223,12 +218,12 @@ def three_trace_formula(t1: int, t2: int, t3: int) -> PeriodicFormula:
         }[(t2, t3)]
         sign_w = {(0, 0): -1, (0, 1): 1, (1, 0): -1, (1, 1): 1}[(t2, t3)]
         coeffs = {
-            6: rat(sign_i * e), 18: rat(sign_i * e),
+            6: sign_i * e, 18: sign_i * e,
             9: w9.scale(e), 15: w15.scale(e),
             5: i.scale(sign_w * e), 11: i.scale(-sign_w * e),
             13: i.scale(sign_w * e), 19: i.scale(-sign_w * e),
         }
-    out = [coeffs.get(k, rat(0)) for k in range(24)]
+    out = [coeffs.get(k, 0) for k in range(24)]
     return PeriodicFormula(24, out, q=2)
 
 
@@ -346,12 +341,11 @@ _F000 = {
 
 def count_all_zero_traces_spectral(r: int, n: int) -> int:
     """The all-zero-trace count evaluated from its root-of-unity expansion
-    q^(n-3) - q^(n/2-3) * sum over eigenvalue groups, exactly in Q(zeta_24)."""
+    q^(n-3) - q^(n/2-3) * sum over eigenvalue groups: q^(n-3) less the
+    `fourier.deviation` of the period-24 formula of its rows, over q^3."""
     check_rn(r, n)
     q = 1 << r
-    acc = root_group_sum(24, root_groups(_F000[r % 2], r), n)
-    total = Cyc.rational(24, Fraction(q) ** (n - 3)) \
-        - sqrt2_power(24, r * (n - 6)) * acc
-    val = total.as_rational()
+    formula = root_group_formula(_F000[r % 2], r)
+    val = Fraction(q) ** (n - 3) - deviation(formula, n) / q ** 3
     assert val.denominator == 1 and val >= 0
     return int(val)

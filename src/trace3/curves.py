@@ -20,7 +20,8 @@ or sqrt(q) (even r) by `cyclotomic.u_powers`.  A factor row (a_0..a_d) has
 X^(d-i) coefficient a_i u^i, divided by 2^(i//2) for odd r, so the factor
 is sqrt(q)^d P(X/sqrt(q)) with P free of r: X^2 - sX + q (s = sqrt(2q)) is
 (1, -1, 1).  Multiplicities and group weights are integer polynomials in u
-over a denominator: rows (num ascending, den).
+over a denominator: rows (num ascending, den), a spectral row weighing the
+roots sqrt(q) omega_24^k, k in exps, of one `fourier.PeriodicFormula`.
 
 The residue tables are `ResidueTable`s (see `residues`) holding the
 deviation from 2^(rn) + 1 as single terms sign * poly(q) *
@@ -36,9 +37,9 @@ from math import gcd
 from operator import mul
 
 from . import anf
-from .cyclotomic import (Cyc, root_group_sum, root_groups, sqrt2_power,
-                         u_powers)
+from .cyclotomic import u_powers
 from .field import DEFAULT_ENUM_CAP, FieldContext, build_context
+from .fourier import deviation, root_group_formula
 from .quadforms import (cubic_root_census, cubic_root_count, radical_report,
                         twist_form)
 from .residues import CURVE, PARITY_COLUMNS, ResidueTable, check_rn
@@ -631,13 +632,11 @@ _SPECTRAL = {
 
 def spectral_count(family: int, r: int, n: int) -> int:
     """Point count of the combined curve from its root-of-unity expansion
-    q^n + 1 - sum_groups c * (sqrt q)^n * sum_k omega_24^(kn), evaluated
-    exactly in Q(zeta_24)."""
+    q^n + 1 - sum_groups c * (sqrt q)^n * sum_k omega_24^(kn): the
+    `fourier.deviation` of the period-24 formula of its rows."""
     check_rn(r, n)
-    groups = root_groups(_SPECTRAL[check_family(family), r % 2], r)
-    acc = root_group_sum(24, groups, n)
-    total = Cyc.rational(24, (1 << (r * n)) + 1) - sqrt2_power(24, r * n) * acc
-    val = total.as_rational()
+    formula = root_group_formula(_SPECTRAL[check_family(family), r % 2], r)
+    val = (1 << (r * n)) + 1 - deviation(formula, n)
     assert val.denominator == 1
     return int(val)
 

@@ -120,6 +120,12 @@ class Cyc:
         """zeta_P^k for any integer k."""
         return _new(p, _monomial_table(p)[k % p], 1)
 
+    @classmethod
+    def zeta_sum(cls, p: int, exps: list) -> "Cyc":
+        """sum_{k in exps} zeta_P^k (exps nonempty) on integer rows."""
+        rows = [_monomial_table(p)[k % p] for k in exps]
+        return _new(p, tuple(map(sum, zip(*rows))) if rows[1:] else rows[0], 1)
+
     def _check(self, other):
         if self.p != other.p:
             raise ValueError("mixed cyclotomic orders")
@@ -229,24 +235,12 @@ def u_powers(r: int) -> list:
 
 @lru_cache(maxsize=None)
 def root_groups(rows, r: int) -> tuple:
-    """The (weight, exps) groups of `root_group_sum` from r-free rows
-    (num, den, exps): weight = sum_j num_j u^j / den; cached by rows and r."""
+    """The (weight, exps) groups of r-free rows (num, den, exps): weight =
+    sum_j num_j u^j / den, which multiplies sum_{k in exps} zeta_24^(kn) in
+    a spectral form; cached by rows and r."""
     powers = u_powers(r)
     return tuple((Fraction(sum(map(mul, num, powers)), den), exps)
                  for num, den, exps in rows)
-
-
-def root_group_sum(p: int, groups, n: int) -> Cyc:
-    """sum over (weight, exps) in groups of weight * sum_{k in exps}
-    zeta_P^(kn): the n-th power sum of eigenvalue groups on the P-th roots
-    of unity, each group carrying one rational weight."""
-    acc = Cyc.rational(p, 0)
-    for weight, exps in groups:
-        grp = Cyc.rational(p, 0)
-        for k in exps:
-            grp = grp + Cyc.zeta_pow(p, k * n)
-        acc = acc + grp.scale(weight)
-    return acc
 
 
 def imaginary_unit(p: int) -> Cyc:

@@ -252,23 +252,30 @@ class FieldContext:
         zero included, and sqr[a] == a * a.  exp is the antilog list to the
         base of the smallest primitive element g, twice over, then zeros;
         log[0] points past the antilog lists, so a sum with it lands in the
-        zeros.  The powers of each candidate g come by doubling on lanes."""
+        zeros.  g comes from `primitive_powers`."""
         size = self.order - 1
         exp = np.zeros(4 * size + 1, dtype=self.lane_dtype)
-        for g in range(1, self.order):  # F* is cyclic: some g is primitive
-            exp[0], k, step = 1, 1, g
-            while k < size:  # exp[:k] holds g^i for i < k, step = g^k
-                exp[k:2 * k] = self._times_window(step)(exp[:k])
-                k, step = 2 * k, self._mul_window(step, step)
-            if not (exp[1:size] == 1).any():  # the order of g is size
-                break
+        exp[:size] = self.primitive_powers(range(1, self.order), size)
         exp[size:2 * size] = exp[:size]
-        exp[2 * size:] = 0
         log = np.empty(self.order, dtype=np.int32)
         log[exp[:size]] = np.arange(size)
         log[0] = 2 * size
         self._lanes = tables = (exp, log, exp[2 * log])  # a^2 = g^(2 log a)
         return tables
+
+    def primitive_powers(self, candidates, size: int) -> ndarray:
+        """g^0..g^(size-1) on uint64 lanes, m <= MAX_SWEEP_BITS, for the first
+        int g of candidates whose powers do not return to 1 early: with size
+        the order of a cyclic group holding them, its first generator."""
+        for g in candidates:
+            powers, step = np.ones(1, dtype=np.uint64), g
+            while powers.size < size:  # g^i for i < 2^k, step = g^(2^k)
+                powers = np.concatenate(
+                    [powers, self._times_window(step)(powers)])
+                step = self._mul_window(step, step)
+            if not (powers[1:size] == 1).any():
+                return powers[:size]
+        raise ValueError("no candidate has order size")
 
     def sqr(self, a):
         """a * a, of an int or entrywise of an array by the rule of `times`:

@@ -8,14 +8,17 @@ periodic with period P is encoded as
 
 with exact coefficients g_k in Q(zeta_L).  The working order L is lcm(P, 8)
 so that sqrt(2), and hence every q^(n/2) with q a power of two, exists in the
-field; nothing is ever rounded.
+field; nothing is ever rounded.  `deviation` is the one evaluator of such a
+form: of the DFT results, of the base-field closed forms of `closedforms`
+and of the eigenvalue rows of the spectral routes (`root_group_formula`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
-from .cyclotomic import Cyc, sqrt2_power
+from .cyclotomic import Cyc, root_groups, sqrt2_power
 
 DEFAULT_PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8, 12, 24, 48)
 
@@ -33,6 +36,10 @@ class PeriodicFormula:
             raise ValueError("need one coefficient per residue")
         self.coeffs = [c if isinstance(c, Cyc) else Cyc.rational(self.order, c)
                        for c in self.coeffs]
+        self._support = {}  # each distinct nonzero g -> the k with g_k = g
+        for k, g in enumerate(self.coeffs):
+            if not g.is_zero():
+                self._support.setdefault(g, []).append(k)
 
     @property
     def order(self) -> int:
@@ -43,13 +50,25 @@ class PeriodicFormula:
         return [k for k, c in enumerate(self.coeffs) if not c.is_zero()]
 
     def normalized_value(self, n: int) -> Cyc:
-        """sum_k g_k omega_P^(kn) in Q(zeta_L)."""
-        step = self.order // self.period
+        """sum_k g_k omega_P^(kn) in Q(zeta_L): the roots of unity of the
+        k sharing one nonzero g_k are added up first, then multiplied by it."""
+        step = self.order // self.period * n
         out = Cyc.rational(self.order, 0)
-        for k, g in enumerate(self.coeffs):
-            if not g.is_zero():
-                out = out + g * Cyc.zeta_pow(self.order, step * k * n)
+        for g, ks in self._support.items():
+            out = out + g * Cyc.zeta_sum(self.order, [step * k for k in ks])
         return out
+
+
+@lru_cache(maxsize=None)
+def root_group_formula(rows, r: int) -> PeriodicFormula:
+    """The period-24 formula, q = 2^r, with each weight of the r-free group
+    rows (num, den, exps) of `curves` and `closedforms`, read by
+    `root_groups`, as g_k at each of its exps k; cached by rows and r."""
+    coeffs = [0] * 24
+    for weight, exps in root_groups(rows, r):
+        for k in exps:
+            coeffs[k] += weight
+    return PeriodicFormula(24, coeffs, q=1 << r)
 
 
 def dft_extract(values, period: int, q: int = 2) -> PeriodicFormula:
@@ -99,8 +118,15 @@ def deviation(formula: PeriodicFormula, n: int) -> Fraction:
     return val.as_rational()
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
+def extract_sequence(values, n0: int, period: int,
+                     q: int = 2) -> PeriodicFormula:
+    """`dft_extract` of the first P terms f(n0), f(n0+1), ... of values, each
+    normalized to f(n) / q^(n/2) and filed by its residue n mod P."""
+    order, r = lcm(period, 8), q.bit_length() - 1
+    terms = [Cyc.rational(order, f) * sqrt2_power(order, -r * n)
+             for n, f in enumerate(values[:period], n0)]
+    return dft_extract([terms[(j - n0) % period] for j in range(period)],
+                       period, q=q)
 
 
 def is_periodic(values, q: int, period: int) -> bool:
@@ -115,7 +141,7 @@ def is_periodic(values, q: int, period: int) -> bool:
     scale = q ** period
     for i in range(span):
         a, b = values[i], values[i + period]
-        if _sign(a) != _sign(b) or b * b != a * a * scale:
+        if (a > 0) != (b > 0) or b * b != a * a * scale:
             return False
     return True
 
@@ -128,22 +154,9 @@ def analyze_sequence(values, n0: int, q: int,
     Raises ValueError when no candidate period fits (the expected outcome
     for sequences that are not supersingular-periodic).
     """
-    r = q.bit_length() - 1
-    if 1 << r != q:
+    if q < 1 or q & (q - 1):
         raise ValueError("q must be a power of two")
     for period in sorted(candidates):
-        if 2 * period > len(values):
-            continue
         if is_periodic(values, q, period):
-            order = lcm(period, 8)
-            per_residue = [None] * period
-            for i, f in enumerate(values):
-                n = n0 + i
-                if per_residue[n % period] is None:
-                    # v(n) = f * sqrt2^(-r*n)
-                    per_residue[n % period] = (
-                        Cyc.rational(order, f) * sqrt2_power(order, -r * n))
-            if any(v is None for v in per_residue):
-                continue
-            return dft_extract(per_residue, period, q=q)
+            return extract_sequence(values, n0, period, q)
     raise ValueError("no candidate period fits the sequence")

@@ -1,8 +1,9 @@
 """Polynomials over GF(2) packed into Python ints (bit i = coefficient of x^i).
 
-Addition is xor. These are the workhorse routines behind canonical modulus
-selection and the fast base-field irreducibility tests; extension-field
-polynomial arithmetic lives in traces.py.
+Addition is xor. These routines pick the canonical moduli and reduce the
+powers of x behind the tables of `field`; `is_irreducible` serves only
+`canonical_modulus` and the tests.  The irreducibility tests of the
+enumeration run on numpy lanes in `traces.irreducible_mask`.
 """
 
 

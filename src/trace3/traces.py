@@ -104,18 +104,12 @@ def _subfield_logs(ctx: FieldContext, r: int) -> tuple:
     exp[i] is the code of g^i for i < 2 (2^r - 1), g the primitive element
     of least code, and log[exp[i]] = i mod 2^r - 1 (log[0] = 0 is none)."""
     q = 1 << r
-    code = ctx.subfield_code(r)
-    for c in range(1, q):  # F_{2^r}* is cyclic: some g is primitive
-        powers = np.ones(1, dtype=np.uint64)
-        step = ctx.subfield_element(r, np.full(1, c, dtype=np.uint64))
-        while powers.size < q - 1:  # g^i for i < 2^k, k = 0, 1, 2, ...
-            powers = np.concatenate([powers, ctx.mul(powers, step)])
-            step = ctx.mul(step, step)  # g^powers.size
-        if not (powers[1:q - 1] == 1).any():  # the order of g is q - 1
-            exp = np.tile(code(powers[:q - 1]), 2)
-            log = np.zeros(q, dtype=np.int64)
-            log[exp[:q - 1]] = np.arange(q - 1)
-            return exp, log
+    powers = ctx.primitive_powers(
+        (ctx.subfield_element(r, c) for c in range(1, q)), q - 1)
+    exp = np.tile(ctx.subfield_code(r)(powers), 2)
+    log = np.zeros(q, dtype=np.int64)
+    log[exp[:q - 1]] = np.arange(q - 1)
+    return exp, log
 
 
 class TraceCensus(Mapping):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import closedforms as cf
 from . import curves, fourier, quadforms, traces
-from .cyclotomic import Cyc, sqrt2_power
+from .cyclotomic import Cyc
 from .field import build_context
 
 FULL_BITS = 20  # from this budget up, every check runs its full grid
@@ -471,25 +471,22 @@ def check_dft_round_trip(max_bits):
     return [col.record()]
 
 
-def _extract(deviation, period):
-    """The DFT of deviation(n) / 2^(n/2) over n = period..2 period - 1."""
-    return fourier.dft_extract(
-        [Cyc.rational(period, deviation(period + j))
-         * sqrt2_power(period, -(period + j)) for j in range(period)], period)
-
-
 def check_formula_recovery(max_bits):
     col = _Collector("dft-recovers-closed-forms", {"periods": "8, 24"},
                      "extracted coefficients equal the published spectral sets")
     for t1, t2 in product((0, 1), repeat=2):
-        got = _extract(lambda n: cf.two_trace_deviation(n, t1, t2), 8)
+        got = fourier.extract_sequence(
+            [cf.two_trace_deviation(n, t1, t2) for n in range(8, 16)], 8, 8)
         col.case(got == cf.two_trace_formula(t1, t2), f"two-trace ({t1},{t2})")
-    g = _extract(lambda n: cf.two_trace_deviation(n, 0, 0), 8)
+    g = fourier.extract_sequence(
+        [cf.two_trace_deviation(n, 0, 0) for n in range(8, 16)], 8, 8)
     col.equal(Fraction(-1, 4), g.coeffs[3].as_rational(), "g_3 of class (0,0)")
     col.equal(Fraction(-1, 4), g.coeffs[5].as_rational(), "g_5 of class (0,0)")
     col.equal([3, 5], g.nonzero_indices(), "support of class (0,0)")
     for t1, t2, t3 in product((0, 1), repeat=3):
-        got = _extract(lambda n: cf.three_trace_deviation(n, t1, t2, t3), 24)
+        got = fourier.extract_sequence(
+            [cf.three_trace_deviation(n, t1, t2, t3) for n in range(24, 48)],
+            24, 24)
         col.case(got == cf.three_trace_formula(t1, t2, t3),
                  f"three-trace ({t1},{t2},{t3})")
     return [col.record()]

@@ -30,7 +30,7 @@ from fractions import Fraction
 import pytest
 
 from trace3 import closedforms, curves
-from trace3.cyclotomic import root_groups
+from trace3.cyclotomic import Cyc, root_groups, sqrt2_power
 from trace3.residues import POLYS
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "closed")
@@ -173,3 +173,33 @@ def test_spectral_rows_give_the_frozen_groups():
         r = rec["r"]
         assert (list(root_groups(closedforms._F000[r % 2], r))
                 == _groups(rec["groups"]))
+
+
+def root_group_sum(p, groups, n):
+    """sum over (weight, exps) in groups of weight * sum_{k in exps}
+    zeta_P^(kn), one root of unity at a time: the reference evaluation of
+    the group rows, apart from `fourier`."""
+    acc = Cyc.rational(p, 0)
+    for weight, exps in groups:
+        grp = Cyc.rational(p, 0)
+        for k in exps:
+            grp = grp + Cyc.zeta_pow(p, k * n)
+        acc = acc + grp.scale(weight)
+    return acc
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_spectral_routes_equal_the_group_sums(r):
+    q = 1 << r
+    curve_groups = {f: root_groups(curves._SPECTRAL[f, r % 2], r)
+                    for f in (1, 2, 3)}
+    all_zero_groups = root_groups(closedforms._F000[r % 2], r)
+    for n in range(1, 121):
+        for f, groups in curve_groups.items():
+            acc = root_group_sum(24, groups, n)
+            want = Cyc.rational(24, q ** n + 1) - sqrt2_power(24, r * n) * acc
+            assert curves.spectral_count(f, r, n) == want, (f, n)
+        acc = root_group_sum(24, all_zero_groups, n)
+        want = (Cyc.rational(24, Fraction(q) ** (n - 3))
+                - sqrt2_power(24, r * (n - 6)) * acc)
+        assert closedforms.count_all_zero_traces_spectral(r, n) == want, n

@@ -326,6 +326,14 @@ def test_log_tables_match_a_loop_of_products(m):
     assert [log[x] for x in powers] == list(range(ctx.order - 1))
 
 
+def test_primitive_powers_rejects_candidates_of_lower_order():
+    ctx = FieldContext(4)
+    with pytest.raises(ValueError, match="no candidate"):
+        ctx.primitive_powers([1, ctx.subfield_element(2, 2)], 15)
+    assert ctx.primitive_powers([1, 2], 15).tolist() == [
+        ctx.pow(2, i) for i in range(15)]
+
+
 def test_kernels_do_not_call_mulmod(monkeypatch):
     contexts = [FieldContext(m) for m in (1, 2, 8, 16, 17, 24, 64)]
 

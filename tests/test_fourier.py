@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -8,7 +8,8 @@ from trace3 import closedforms as cf
 from trace3.cyclotomic import (Cyc, cyclotomic_polynomial, imaginary_unit,
                                sqrt2, sqrt2_power)
 from trace3.fourier import (PeriodicFormula, analyze_sequence, deviation,
-                            dft_extract, is_periodic, reconstruct)
+                            dft_extract, extract_sequence, is_periodic,
+                            reconstruct)
 from trace3.traces import trace_census
 
 
@@ -195,6 +196,34 @@ def test_round_trip_random_vectors(period):
         # real input: conjugation symmetry of the spectrum
         for k in range(period):
             assert formula.coeffs[(period - k) % period] == formula.coeffs[k].conj()
+
+
+@pytest.mark.parametrize("period", [1, 8, 12, 24])
+def test_normalized_value_is_the_sum_over_k(period):
+    order = lcm(period, 8)
+    irrational = [sqrt2(order), Cyc.zeta_pow(order, 1).scale(Fraction(-2, 5))
+                  + Cyc.rational(order, Fraction(1, 3))]
+    pool = [0, 0, 5, Fraction(-3, 4)] + irrational
+    rng = random.Random(period)
+    formulas = [[0] * period, [Fraction(7, 2)] * period,
+                irrational[:1] * period]
+    formulas += [[rng.choice(pool) for _ in range(period)] for _ in range(4)]
+    step = order // period
+    for coeffs in formulas:
+        formula = PeriodicFormula(period, coeffs)
+        for n in range(-period, 3 * period):
+            want = Cyc.rational(order, 0)
+            for k, g in enumerate(formula.coeffs):
+                want = want + g * Cyc.zeta_pow(order, step * k * n)
+            assert formula.normalized_value(n) == want, (coeffs, n)
+
+
+def test_extract_sequence_files_each_term_by_residue():
+    values = [3, -1, Fraction(5, 2), 0, 7, 11, -4, 2, 9]
+    want = [None] * 8
+    for n, f in zip(range(5, 13), values):
+        want[n % 8] = Cyc.rational(8, f) * sqrt2_power(8, -2 * n)
+    assert extract_sequence(values, 5, 8, q=4) == dft_extract(want, 8, q=4)
 
 
 def test_zero_vector():

@@ -333,6 +333,26 @@ def test_traces_scale_by_subfield_powers(r, n):
             assert np.array_equal(scaled[k], want), (c, k)
 
 
+@pytest.mark.parametrize("r,n", [(1, 3), (3, 2), (4, 5), (6, 3), (7, 3)])
+def test_subfield_logs_match_a_loop_of_products(r, n):
+    """exp lists the codes of the powers of the subfield element of least
+    code of order q - 1, as one product per power finds them, twice over;
+    log inverts it."""
+    ctx, q = build_context(r * n), 1 << r
+    exp, log = traces._subfield_logs(ctx, r)
+    for c in range(1, q):
+        g = ctx.subfield_element(r, c)
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = ctx.mul(x, g)
+        if len(powers) == q - 1:
+            break
+    codes = [ctx.subfield_code(r)(x) for x in powers]
+    assert exp.tolist() == codes + codes
+    assert [log[c] for c in codes] == list(range(q - 1))
+
+
 @pytest.mark.parametrize("r,n", [(1, 1), (1, 7), (2, 4), (3, 3), (5, 2),
                                  (6, 1)])
 def test_t1_lift_covers_t1_in_f2(r, n):
