@@ -19,26 +19,19 @@ MAX_ORDER = 120
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(p: int) -> tuple:
     """Integer coefficients of Phi_p, ascending, computed by dividing x^p - 1
-    by the cyclotomic polynomials of the proper divisors."""
+    by the cyclotomic polynomials of the proper divisors, which are monic."""
     num = [-1] + [0] * (p - 1) + [1]  # x^p - 1
     for d in range(1, p):
         if p % d == 0:
-            num = _poly_div_exact(num, cyclotomic_polynomial(d))
+            den = cyclotomic_polynomial(d)
+            quo = [0] * (len(num) - len(den) + 1)
+            for i in range(len(quo) - 1, -1, -1):
+                quo[i] = c = num[i + len(den) - 1]
+                for j, dj in enumerate(den):
+                    num[i + j] -= c * dj
+            assert not any(num)  # exact
+            num = quo
     return tuple(num)
-
-
-def _poly_div_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
-        q = c // den[-1]
-        out[i] = q
-        for j, dj in enumerate(den):
-            num[i + j] -= q * dj
-    assert all(c == 0 for c in num)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -57,20 +50,34 @@ def _phi_tail(p: int) -> tuple:
     return tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
 
 
-@lru_cache(maxsize=None)
-def _monomial_table(p: int) -> tuple:
-    """Reduction of z^k modulo Phi_p for k = 0..p-1, as integer rows."""
+def _reduce(p: int, poly: list, den: int) -> "Cyc":
+    """sum_k poly[k] z^k / den for a fresh list of at least d integers,
+    folded down from the top by z^d = -sum_j c_j z^j: the one integer-row
+    kernel behind every product, rotation, conjugate and power of zeta."""
     d = _degree(p)
-    rows = []
-    cur = [1] + [0] * (d - 1)
-    for _ in range(p):
-        rows.append(tuple(cur))
-        # multiply by z
-        carry = cur[-1]
-        cur = [0] + cur[:-1]
-        for j, c in _phi_tail(p):
-            cur[j] -= carry * c
-    return tuple(rows)
+    for k in range(len(poly) - 1, d - 1, -1):
+        c = poly[k]
+        if c:
+            for j, cj in _phi_tail(p):
+                poly[k - d + j] -= c * cj
+    return _new(p, tuple(poly[:d]), den)
+
+
+def rotation_sum(p: int, terms: list) -> "Cyc":
+    """sum of g * zeta_P^s over the pairs (g, s) of terms, with no product:
+    g zeta^s puts g's numerator a_i at the exponent i + s (mod P), over the
+    lcm of the denominators (a zero g has den 1).  A nonzero g of another
+    order fails as mixed-order arithmetic does; a zero one is skipped."""
+    den = lcm(1, *(g.den for g, _ in terms))
+    poly = [0] * p
+    for g, s in terms:
+        if g.p != p and any(g.num):
+            raise ValueError("mixed cyclotomic orders")
+        f = den // g.den
+        for i, a in enumerate(g.num):
+            if a:
+                poly[(i + s) % p] += a * f
+    return _reduce(p, poly, den)
 
 
 def _new(p: int, num: tuple, den: int) -> "Cyc":
@@ -118,13 +125,9 @@ class Cyc:
     @classmethod
     def zeta_pow(cls, p: int, k: int) -> "Cyc":
         """zeta_P^k for any integer k."""
-        return _new(p, _monomial_table(p)[k % p], 1)
-
-    @classmethod
-    def zeta_sum(cls, p: int, exps: list) -> "Cyc":
-        """sum_{k in exps} zeta_P^k (exps nonempty) on integer rows."""
-        rows = [_monomial_table(p)[k % p] for k in exps]
-        return _new(p, tuple(map(sum, zip(*rows))) if rows[1:] else rows[0], 1)
+        poly = [0] * p  # d <= p
+        poly[k % p] = 1
+        return _reduce(p, poly, 1)
 
     def _check(self, other):
         if self.p != other.p:
@@ -157,20 +160,13 @@ class Cyc:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        d = len(self.num)
-        prod = [0] * (2 * d - 1)
+        poly = [0] * (2 * len(self.num) - 1)
         for i, a in enumerate(self.num):
             if a:
                 for j, b in enumerate(other.num):
                     if b:
-                        prod[i + j] += a * b
-        tail = _phi_tail(self.p)
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c:
-                for j, cj in tail:
-                    prod[k - d + j] -= c * cj
-        return _new(self.p, tuple(prod[:d]), self.den * other.den)
+                        poly[i + j] += a * b
+        return _reduce(self.p, poly, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -199,13 +195,10 @@ class Cyc:
 
     def conj(self) -> "Cyc":
         """Complex conjugate (zeta -> zeta^(-1))."""
-        p, table = self.p, _monomial_table(self.p)
-        out = [0] * len(self.num)
+        poly = [0] * self.p
         for j, c in enumerate(self.num):
-            if c:
-                for t, v in enumerate(table[-j % p]):
-                    out[t] += c * v
-        return _new(p, tuple(out), self.den)
+            poly[-j % self.p] = c
+        return _reduce(self.p, poly, self.den)
 
     def norm_squared(self) -> "Cyc":
         return self * self.conj()
@@ -219,12 +212,9 @@ def sqrt2(p: int) -> Cyc:
 
 
 def sqrt2_power(p: int, e: int) -> Cyc:
-    """sqrt(2)^e for any integer e, exact."""
+    """sqrt(2)^e for any integer e, exact: sqrt(2) or 1, times 2^(e // 2)."""
     half, odd = divmod(e, 2)
-    out = Cyc.rational(p, Fraction(2) ** half)
-    if odd:
-        out = out * sqrt2(p)
-    return out
+    return (sqrt2(p) if odd else Cyc.rational(p, 1)).scale(Fraction(2) ** half)
 
 
 def u_powers(r: int) -> list:

@@ -18,28 +18,30 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclotomic import Cyc, root_groups, sqrt2_power
+from .cyclotomic import Cyc, root_groups, rotation_sum, sqrt2_power
 
 DEFAULT_PERIOD_CANDIDATES = (1, 2, 3, 4, 6, 8, 12, 24, 48)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodicFormula:
     """period: P.  coeffs: g_0..g_{P-1} as elements of Q(zeta_L), L = order.
-    q: normalization base (f(n) = q^(n/2) * sum g_k omega_P^(kn)), q = 2^r."""
+    q: normalization base (f(n) = q^(n/2) * sum g_k omega_P^(kn)), q = 2^r.
+    Two memos, not fields, fill one residue at a time on first use."""
     period: int
-    coeffs: list
+    coeffs: tuple
     q: int = 2
 
     def __post_init__(self):
         if len(self.coeffs) != self.period:
             raise ValueError("need one coefficient per residue")
-        self.coeffs = [c if isinstance(c, Cyc) else Cyc.rational(self.order, c)
-                       for c in self.coeffs]
-        self._support = {}  # each distinct nonzero g -> the k with g_k = g
-        for k, g in enumerate(self.coeffs):
-            if not g.is_zero():
-                self._support.setdefault(g, []).append(k)
+        if self.q < 1 or self.q & (self.q - 1):
+            raise ValueError("normalization base must be a power of two")
+        object.__setattr__(self, "coeffs", tuple(
+            c if isinstance(c, Cyc) else Cyc.rational(self.order, c)
+            for c in self.coeffs))
+        object.__setattr__(self, "_normalized", {})  # n mod P -> Cyc
+        object.__setattr__(self, "_residues", {})  # j mod lcm(P, 2) -> c_j
 
     @property
     def order(self) -> int:
@@ -50,13 +52,28 @@ class PeriodicFormula:
         return [k for k, c in enumerate(self.coeffs) if not c.is_zero()]
 
     def normalized_value(self, n: int) -> Cyc:
-        """sum_k g_k omega_P^(kn) in Q(zeta_L): the roots of unity of the
-        k sharing one nonzero g_k are added up first, then multiplied by it."""
-        step = self.order // self.period * n
-        out = Cyc.rational(self.order, 0)
-        for g, ks in self._support.items():
-            out = out + g * Cyc.zeta_sum(self.order, [step * k for k in ks])
-        return out
+        """sum_k g_k omega_P^(kn) in Q(zeta_L): one `rotation_sum`."""
+        j = n % self.period
+        if j not in self._normalized:
+            step = self.order // self.period * j
+            self._normalized[j] = rotation_sum(
+                self.order, [(g, step * k) for k, g in enumerate(self.coeffs)])
+        return self._normalized[j]
+
+    def residue_value(self, n: int) -> Fraction:
+        """c_j = normalized_value(j) * sqrt(2)^(rj mod 2) at j = n mod
+        lcm(P, 2), asserted rational: f(n) = c_j * 2^floor(rn/2).  The
+        sqrt(2) = zeta_8 + zeta_8^(-1) is two rotations of the value."""
+        j = n % lcm(self.period, 2)
+        if j not in self._residues:
+            val = self.normalized_value(j)
+            if (self.q.bit_length() - 1) * j % 2:
+                s = self.order // 8
+                val = rotation_sum(self.order, [(val, s), (val, -s)])
+            if not val.is_rational():
+                raise ValueError(f"deviation at n={n} is not rational")
+            self._residues[j] = val.as_rational()
+        return self._residues[j]
 
 
 @lru_cache(maxsize=None)
@@ -83,14 +100,9 @@ def dft_extract(values, period: int, q: int = 2) -> PeriodicFormula:
     order = lcm(period, 8)
     vals = [v if isinstance(v, Cyc) else Cyc.rational(order, v) for v in values]
     step = order // period
-    inv_p = Fraction(1, period)
-    coeffs = []
-    for k in range(period):
-        g = Cyc.rational(order, 0)
-        for j, v in enumerate(vals):
-            if not v.is_zero():
-                g = g + v * Cyc.zeta_pow(order, -step * j * k)
-        coeffs.append(g.scale(inv_p))
+    coeffs = [rotation_sum(order, [(v, -step * j * k)
+                                   for j, v in enumerate(vals)])
+              .scale(Fraction(1, period)) for k in range(period)]
     return PeriodicFormula(period, coeffs, q=q)
 
 
@@ -106,16 +118,12 @@ def deviation(formula: PeriodicFormula, n: int) -> Fraction:
     """The denormalized term f(n) = q^(n/2) * sum_k g_k omega_P^(kn), exact.
 
     Works for every n, including odd n with odd r where q^(n/2) is
-    irrational: the product is evaluated inside Q(zeta_L) and asserted
-    rational there.
+    irrational: the rational c_j of `residue_value` carries the odd power
+    of sqrt(2), and the rest is the power of two 2^floor(rn/2).
     """
     r = formula.q.bit_length() - 1
-    if 1 << r != formula.q:
-        raise ValueError("normalization base must be a power of two")
-    val = formula.normalized_value(n) * sqrt2_power(formula.order, r * n)
-    if not val.is_rational():
-        raise ValueError(f"deviation at n={n} is not rational")
-    return val.as_rational()
+    c, e = formula.residue_value(n), r * n >> 1
+    return c * (1 << e) if e >= 0 else c / (1 << -e)
 
 
 def extract_sequence(values, n0: int, period: int,
@@ -123,7 +131,7 @@ def extract_sequence(values, n0: int, period: int,
     """`dft_extract` of the first P terms f(n0), f(n0+1), ... of values, each
     normalized to f(n) / q^(n/2) and filed by its residue n mod P."""
     order, r = lcm(period, 8), q.bit_length() - 1
-    terms = [Cyc.rational(order, f) * sqrt2_power(order, -r * n)
+    terms = [sqrt2_power(order, -r * n).scale(f)
              for n, f in enumerate(values[:period], n0)]
     return dft_extract([terms[(j - n0) % period] for j in range(period)],
                        period, q=q)

@@ -4,12 +4,15 @@ from math import gcd, lcm
 
 import pytest
 
+import spectral_reference as ref
 from trace3 import closedforms as cf
+from trace3.curves import _SPECTRAL
 from trace3.cyclotomic import (Cyc, cyclotomic_polynomial, imaginary_unit,
-                               sqrt2, sqrt2_power)
-from trace3.fourier import (PeriodicFormula, analyze_sequence, deviation,
-                            dft_extract, extract_sequence, is_periodic,
-                            reconstruct)
+                               rotation_sum, sqrt2, sqrt2_power)
+from trace3.fourier import (DEFAULT_PERIOD_CANDIDATES, PeriodicFormula,
+                            analyze_sequence, deviation, dft_extract,
+                            extract_sequence, is_periodic, reconstruct,
+                            root_group_formula)
 from trace3.traces import trace_census
 
 
@@ -329,3 +332,158 @@ def test_analyze_pipeline_data_period_24():
     for n in range(3, 60):
         assert (deviation(formula, n)
                 == cf.count_all_zero_traces(2, n) - Fraction(4) ** (n - 3))
+
+
+# ---------------------------------------------------------------------------
+# the integer-row evaluator against the product reference (spectral_reference)
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _random_values(rng, period, irrational):
+    """Rational values, or a mix with sqrt 2 multiples and zeta powers."""
+    order = lcm(period, 8)
+    out = []
+    for _ in range(period):
+        c = Fraction(rng.randrange(-30, 31), rng.randrange(1, 9))
+        kind = rng.randrange(3) if irrational else 0
+        if kind == 0:
+            out.append(c)
+        elif kind == 1:
+            out.append(sqrt2(order).scale(c))
+        else:
+            out.append(Cyc.zeta_pow(order, rng.randrange(order)).scale(c))
+    return out
+
+
+@pytest.mark.parametrize("period", DEFAULT_PERIOD_CANDIDATES)
+def test_evaluator_matches_product_reference(period):
+    rng = random.Random(1000 + period)
+    kinds = (False, True) if period > 24 else (False, False, True, True)
+    for irrational in kinds:
+        vec = _random_values(rng, period, irrational)
+        q = 1 << rng.randrange(1, 4)
+        formula = dft_extract(vec, period, q=q)
+        assert list(formula.coeffs) == ref.dft_extract(vec, period)
+        for n in range(-2 * period, 3 * period):
+            norm = formula.normalized_value(n)
+            assert norm == ref.normalized_value(formula, n), (vec, n)
+            if not irrational:
+                assert norm == vec[n % period]
+            assert (_outcome(deviation, formula, n)
+                    == _outcome(ref.deviation, formula, n)), (vec, q, n)
+
+
+@pytest.mark.parametrize("r", range(1, 21))
+def test_group_formula_deviations_match_product_reference(r):
+    row_sets = [_SPECTRAL[family, r % 2] for family in (1, 2, 3)]
+    for rows in row_sets + [cf._F000[r % 2]]:
+        formula = root_group_formula(rows, r)
+        for n in range(-48, 201):
+            assert deviation(formula, n) == ref.deviation(formula, n), (r, n)
+
+
+def test_base_field_deviations_match_product_reference():
+    formulas = [cf.two_trace_formula(t1, t2) for t1 in (0, 1) for t2 in (0, 1)]
+    formulas += [cf.three_trace_formula(t1, t2, t3)
+                 for t1 in (0, 1) for t2 in (0, 1) for t3 in (0, 1)]
+    for formula in formulas:
+        for n in range(-48, 201):
+            assert deviation(formula, n) == ref.deviation(formula, n), n
+
+
+def test_rotation_sum_is_the_sum_of_products():
+    rng = random.Random(3)
+    for p in (8, 24, 48):
+        d = len(cyclotomic_polynomial(p)) - 1
+        terms = [(Cyc(p, _random_coords(rng, d)), rng.randrange(-p, 2 * p))
+                 for _ in range(5)] + [(Cyc.rational(p, 0), 1)]
+        want = Cyc.rational(p, 0)
+        for g, s in terms:
+            want = want + g * Cyc.zeta_pow(p, s)
+        _check(rotation_sum(p, terms), want.coords)
+    assert rotation_sum(24, []) == Cyc.rational(24, 0)
+    # a zero element of another order adds nothing, a nonzero one fails
+    assert rotation_sum(24, [(Cyc.rational(8, 0), 3)]) == 0
+    with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+        rotation_sum(24, [(Cyc.rational(8, 1), 3)])
+
+
+# ---------------------------------------------------------------------------
+# the per-residue memos keep the error contract and equality
+
+def _fresh(formula):
+    return PeriodicFormula(formula.period, formula.coeffs, formula.q)
+
+
+def test_irrational_residues_raise_whatever_is_called_first():
+    base = cf.two_trace_formula(0, 0)
+    first = _fresh(base)
+    with pytest.raises(ValueError, match="reconstruction at n=3"):
+        reconstruct(first, 3)
+    assert deviation(first, 3) == -1
+    with pytest.raises(ValueError, match="reconstruction at n=3"):
+        reconstruct(first, 3)
+    second = _fresh(base)
+    assert deviation(second, 3) == -1
+    with pytest.raises(ValueError, match="reconstruction at n=11"):
+        reconstruct(second, 11)
+    assert deviation(second, 11) == deviation(base, 11)
+
+
+def test_irrational_deviation_raises_only_where_it_is_hit():
+    # g_1 = 1, q = 4: f(n) = 2^n zeta_8^n is rational iff 4 | n
+    formula = PeriodicFormula(8, [0, 1] + [0] * 6, q=4)
+    assert deviation(formula, 4) == -16
+    for n in (1, 9, -7, 2):
+        with pytest.raises(ValueError, match=f"deviation at n={n} is"):
+            deviation(formula, n)
+    assert deviation(formula, 8) == 256 and deviation(formula, -4) == Fraction(-1, 16)
+    assert deviation(formula, 12) == -(1 << 12)
+
+
+def test_mixed_orders_raise_on_every_call():
+    formula = PeriodicFormula(12, [Cyc.zeta_pow(8, 1)] + [0] * 11)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            deviation(formula, 1)
+        with pytest.raises(ValueError, match="mixed cyclotomic orders"):
+            formula.normalized_value(1)
+
+
+def test_filled_formula_equals_a_fresh_one():
+    for t1 in (0, 1):
+        for t2 in (0, 1):
+            formula = cf.two_trace_formula(t1, t2)
+            for n in range(-3, 20):
+                deviation(formula, n)
+            vec = [Cyc.rational(8, cf.two_trace_deviation(8 + j, t1, t2))
+                   * sqrt2_power(8, -(8 + j)) for j in range(8)]
+            fresh = dft_extract(vec, 8)
+            assert fresh == formula and hash(fresh) == hash(formula)
+            assert repr(fresh) == repr(formula)
+
+
+def test_coefficients_are_frozen():
+    formula = PeriodicFormula(8, [Fraction(1, 2)] + [0] * 7)
+    assert isinstance(formula.coeffs, tuple)
+    with pytest.raises(AttributeError):
+        formula.coeffs = (0,) * 8
+    assert formula.coeffs[0] == Cyc.rational(8, Fraction(1, 2))
+
+
+def test_normalization_base_is_checked_at_construction():
+    # the residue table reads r = log2 q, so a q that is no power of two is
+    # refused before any value is normalized by it
+    for build in (lambda: PeriodicFormula(8, [0] * 8, q=3),
+                  lambda: dft_extract([1] * 8, 8, q=6),
+                  lambda: extract_sequence([3 ** n for n in range(8)], 0, 8,
+                                           q=3)):
+        with pytest.raises(ValueError, match="must be a power of two"):
+            build()
+    assert deviation(PeriodicFormula(1, [1], q=1), 5) == 1
