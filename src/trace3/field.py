@@ -7,6 +7,7 @@ contexts must not be mixed.  Addition is xor, zero is 0, one is 1.
 """
 
 from functools import partial
+from operator import index
 
 import numpy as np
 from numpy import ndarray
@@ -157,8 +158,10 @@ class FieldContext:
         return hash(("FieldContext", self.m))
 
     def mul(self, a, b):
-        if type(a) is ndarray or type(b) is ndarray:
-            return self.times(a)(b)
+        if type(a) is not int or type(b) is not int:
+            if type(a) is ndarray or type(b) is ndarray:
+                return self.times(a)(b)
+            a, b = index(a), index(b)  # numpy integers as ints: no overflow
         if not (a and b):
             return 0
         if self.m > LOG_MAX_DEGREE:

@@ -25,22 +25,24 @@ from .residues import check_rn
 
 def trace_triple(ctx: FieldContext, r: int, a):
     """(T1, T2, T3) of a relative to F_{2^r}: the coefficients of
-    x^(n-1), x^(n-2), x^(n-3) in prod_{i<n} (x + a^(2^(ri))), n = m/r.
+    x^(n-1), x^(n-2), x^(n-3) in P_n = prod_{i<n} (x + a^(2^(ri))), n = m/r.
 
-    Computed as an incremental product of the conjugate linear factors,
-    keeping only the top four coefficients (O(n) multiplications).  Missing
-    traces for n < 3 are empty sums, hence 0.  a is an int, or a uint64
-    array whose lanes go through the field's lane kernels (m <= 32).
+    A Frobenius ladder along the bits of n on the top three coefficients c
+    of P_k: P_2k = P_k F^(rk)(P_k), F^(rk) on c, takes 3 products and 3
+    maps, P_(k+1) = P_k (x + F^(rk)(a)) 2 and 1: at most 3 floor(log2 n)
+    + 2 (popcount(n) - 1) products.  Missing traces for n < 3 are empty
+    sums, hence 0.  a is an int, or a uint64 array of lanes (m <= 32).
     """
     ctx._check_divisor(r)
-    n = ctx.m // r
-    b = a
-    c1 = c2 = c3 = 0
-    for _ in range(n):
-        c3 ^= ctx.mul(b, c2)
-        c2 ^= ctx.mul(b, c1)
-        c1 ^= b
-        b = ctx.frobenius(b, r)
+    c1, c2, c3, k = a, 0, 0, 1  # P_1 = x + a; rebound, never updated in place
+    for bit in bin(ctx.m // r)[3:]:
+        d1, d2, d3 = (ctx.frobenius(c1, r * k), ctx.frobenius(c2, r * k),
+                      ctx.frobenius(c3, r * k))
+        c1, c2, c3, k = (c1 ^ d1, c2 ^ d2 ^ ctx.mul(c1, d1),
+                         c3 ^ d3 ^ ctx.mul(c1, d2) ^ ctx.mul(c2, d1), 2 * k)
+        if bit == "1":
+            b, k = ctx.frobenius(a, r * k), k + 1
+            c1, c2, c3 = c1 ^ b, c2 ^ ctx.mul(c1, b), c3 ^ ctx.mul(c2, b)
     return c1, c2, c3
 
 

@@ -94,6 +94,22 @@ def test_mul_matches_schoolbook():
             assert ctx.mul(a, b) == gf2x.mod(naive_poly_mul(a, b), ctx.modulus)
 
 
+@pytest.mark.parametrize("m", [8, 24, 48, 64])
+def test_mul_takes_numpy_integers_as_ints(m):
+    # above 32 bits the shifted multiples of a uint64 scalar overflowed, and
+    # up to 32 the product came back as a numpy scalar
+    ctx = build_context(m)
+    a, b = ctx.order - 3, ctx.order - 5
+    want = gf2x.mod(naive_poly_mul(a, b), ctx.modulus)
+    for got in (ctx.mul(np.uint64(a), np.uint64(b)), ctx.mul(np.uint64(a), b),
+                ctx.mul(a, np.uint64(b))):
+        assert type(got) is int and got == want
+    if m < 64:
+        assert ctx.mul(np.int64(a), np.int64(b)) == want
+    with pytest.raises(TypeError):
+        ctx.mul(float(a), b)
+
+
 def _squarings(a, f, count):
     """a, a^2, a^4, ..., a^(2^count) by iterated gf2x.mulmod squaring."""
     out = [a]

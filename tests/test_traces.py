@@ -13,7 +13,8 @@ from trace3 import gf2x, traces
 from trace3.anf import check_sweep, sweep, sweep_chunks
 from trace3.closedforms import (count_all_zero_traces, gauss_count,
                                 irreducible_all_zero)
-from trace3.field import BudgetError, FieldContext, build_context
+from trace3.field import (MAX_DEGREE, BudgetError, FieldContext,
+                          build_context)
 from trace3.traces import (TraceCensus, check_trace_addition_identities,
                            count_irreducibles_with_prefix, irreducible_mask,
                            joint_zero_identity_check, trace_census,
@@ -43,6 +44,106 @@ def naive_trace_triple(ctx, r, a):
             for k in range(j + 1, n):
                 t3 ^= ctx.mul(ctx.mul(conj[i], conj[j]), conj[k])
     return t1, t2, t3
+
+
+def loop_trace_triple(ctx, r, a):
+    """The product of the conjugate linear factors x + a^(2^(ri)), one at a
+    time, on its top three coefficients: 2n products and n maps.  The
+    implementation the Frobenius ladder replaced, kept as its reference."""
+    b = a
+    c1 = c2 = c3 = 0
+    for _ in range(ctx.m // r):
+        c3 ^= ctx.mul(b, c2)
+        c2 ^= ctx.mul(b, c1)
+        c1 ^= b
+        b = ctx.frobenius(b, r)
+    return c1, c2, c3
+
+
+def _divisors(m):
+    return [r for r in range(1, m + 1) if m % r == 0]
+
+
+def _assert_lanes_match_loop(ctx, r, lanes):
+    """The ladder on lanes gives the loop's values, lane by lane, and leaves
+    the caller's array as it was."""
+    before = lanes.copy()
+    got = trace_triple(ctx, r, lanes)
+    assert lanes.dtype == before.dtype and np.array_equal(lanes, before)
+    want = loop_trace_triple(ctx, r, lanes.copy())
+    for i in range(3):
+        assert np.broadcast_to(got[i], lanes.shape).tolist() == (
+            np.broadcast_to(want[i], lanes.shape).tolist()), (ctx.m, r, i)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_ladder_matches_loop_exhaustive(m):
+    ctx = build_context(m)
+    for r in _divisors(m):
+        for a in range(ctx.order):
+            assert trace_triple(ctx, r, a) == loop_trace_triple(ctx, r, a), (
+                r, a)
+
+
+@pytest.mark.parametrize("m", range(13, MAX_DEGREE + 1))
+def test_ladder_matches_loop_random(m):
+    ctx = build_context(m)
+    rng = random.Random(m)
+    xs = [1, ctx.order - 1, 1 << (m - 1)] + [rng.randrange(ctx.order)
+                                             for _ in range(12)]
+    for r in _divisors(m):
+        for a in xs:
+            assert trace_triple(ctx, r, a) == loop_trace_triple(ctx, r, a), (
+                r, a)
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_ladder_matches_loop_on_lanes(m):
+    # log-table lanes (one or two bytes, m <= 16) and the uint64 lanes a
+    # sweep passes
+    ctx = build_context(m)
+    rng = random.Random(m + 1000)
+    xs = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(40)]
+    for r in _divisors(m):
+        for dtype in {ctx.lane_dtype, np.dtype(np.uint64)}:
+            _assert_lanes_match_loop(ctx, r, np.array(xs, dtype=dtype))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 11, 13, 15])
+@pytest.mark.parametrize("r", [1, 2])
+def test_ladder_matches_loop_at_named_n(n, r):
+    # n = 1 has no ladder step, n = 2 one doubling, n = 3 a doubling and an
+    # added conjugate; 7, 11, 13 and 15 add a conjugate after several
+    # doublings
+    ctx = build_context(r * n)
+    rng = random.Random(100 * n + r)
+    xs = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(30)]
+    for a in xs:
+        assert trace_triple(ctx, r, a) == loop_trace_triple(ctx, r, a), a
+        assert trace_triple(ctx, r, a) == naive_trace_triple(ctx, r, a), a
+    for dtype in {ctx.lane_dtype, np.dtype(np.uint64)}:
+        _assert_lanes_match_loop(ctx, r, np.array(xs, dtype=dtype))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 12, 60])
+def test_ladder_takes_log_many_products(monkeypatch, r):
+    # at most 3 floor(log2 n) + 2 (popcount(n) - 1) products, where the
+    # loop makes 2n: 21 against 120 at m = 60, r = 1
+    ctx = FieldContext(60)
+    n = 60 // r
+    calls = 0
+    mul = ctx.mul
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(ctx, "mul", counting)
+    a = 0x0123456789ABCDE
+    got = trace_triple(ctx, r, a)
+    assert calls <= 3 * (n.bit_length() - 1) + 2 * (bin(n).count("1") - 1)
+    assert got == loop_trace_triple(FieldContext(60), r, a)
 
 
 def test_trace_triple_known_values():
