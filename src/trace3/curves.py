@@ -7,8 +7,9 @@
 and their quadratic twists C_{i,alpha}: y^2 + y = alpha * f_i(x), through
 independent routes: exhaustive fiber counting, the periodic residue
 tables, the factored Frobenius characteristic polynomial (the power sum
-p_n of each factor's roots from X^n mod the factor, by binary powering,
-and its first Newton power sums), the root-of-unity spectral sums, and
+p_n of each factor's roots as c^(n // 24) p_(n % 24), from the constant c
+that X^24 reduces to modulo the factor and its Newton power sums
+p_0..p_23, both built once per factor), the root-of-unity spectral sums, and
 for twists the Arf invariant of the quadratic form (`quadforms`).
 Projective counts throughout: one point at infinity per curve.
 `COMBINED_ROUTES` and `TWIST_ROUTES` map each route's name to its
@@ -498,7 +499,8 @@ def _charpoly_factors(rows, r: int) -> tuple:
 
 def factor_power_sums(coeffs, n: int) -> list:
     """Power sums p_0..p_n of the roots of the monic integer polynomial via
-    the Newton recurrence."""
+    the Newton recurrence, O(n d) for degree d: the charpoly route asks for
+    p_0..p_23 once per factor."""
     d = len(coeffs) - 1
     p = [d]
     for k in range(1, n + 1):
@@ -511,23 +513,41 @@ def factor_power_sums(coeffs, n: int) -> list:
     return p
 
 
-def factor_power_sum(coeffs, n: int) -> int:
-    """p_n of the roots of the monic integer polynomial P of degree d
-    (coefficients descending), by Fiduccia's method ("An efficient formula
-    for linear recurrences", SIAM J. Comput. 1985): if X^n = sum_i a_i X^i
-    modulo P, then p_n = sum_i a_i p_i over the first d Newton power sums.
-    X^n mod P comes from binary powering, so the cost is O(d^2 log n)."""
-    d = len(coeffs) - 1
-    first = factor_power_sums(coeffs, d - 1)
-    if n < d:
-        return first[n]
-    return sum(a * p for a, p in zip(reversed(_x_power_mod(n, coeffs)), first))
+def _x24_mod(coeffs) -> list:
+    """X^24 modulo the monic integer polynomial P of degree d (coefficients
+    descending), by 24 steps of multiplying by X and folding X^d =
+    -(c_1 X^(d-1) + ... + c_d): d coefficients, descending."""
+    rem = [0] * (len(coeffs) - 2) + [1]
+    for _ in range(24):
+        lead = rem[0]
+        rem = [a - lead * c for a, c in zip(rem[1:] + [0], coeffs[1:])]
+    return rem
+
+
+@lru_cache(maxsize=None)
+def _period_power_sums(coeffs) -> tuple:
+    """(c, p_0..p_23) of a factor whose roots eta all have eta^24 = c, the
+    constant X^24 reduces to modulo it, so that p_(n+24) = c p_n; cached,
+    as charpoly_count asks again for each n.  AssertionError if X^24 is
+    not a constant modulo the factor."""
+    *rest, c = _x24_mod(coeffs)
+    if any(rest):
+        raise AssertionError(f"X^24 is not a constant modulo the factor "
+                             f"{coeffs}")
+    return c, factor_power_sums(coeffs, 23)
 
 
 def power_sum_sequence(fd: FrobeniusData, n: int) -> int:
-    """S_n = sum of n-th powers of all Frobenius eigenvalues (S_0 = 2g)."""
-    return sum(mult * factor_power_sum(coeffs, n)
-               for coeffs, mult in fd.factors)
+    """S_n = sum of n-th powers of all Frobenius eigenvalues (S_0 = 2g), for
+    n >= 0: each factor contributes mult * c^(n // 24) * p_(n % 24) from
+    its cached (c, p_0..p_23), so a call costs one power of c per factor."""
+    check_rn(fd.r, n, 0)
+    k, i = divmod(n, 24)
+    total = 0
+    for coeffs, mult in fd.factors:
+        c, first = _period_power_sums(tuple(coeffs))
+        total += mult * c ** k * first[i]
+    return total
 
 
 def charpoly_count(family: int, r: int, n: int,
@@ -553,46 +573,15 @@ def roots_symmetric_under_q(coeffs, q: int) -> bool:
 
 def supersingularity_certificate(fd_or_factors) -> bool:
     """Certify that every Frobenius eigenvalue is sqrt(q) times a 24th root
-    of unity: X^24 = q^12 modulo each factor, by exact integer polynomial
-    exponentiation."""
+    of unity: X^24 = q^12 modulo each factor, by the exact integer
+    reduction `_x24_mod`."""
     if isinstance(fd_or_factors, FrobeniusData):
         q = 1 << fd_or_factors.r
         items = [f for f, _ in fd_or_factors.factors]
     else:
         q, items = fd_or_factors
-    return all(_x_power_mod(24, coeffs) == [0] * (len(coeffs) - 2) + [q ** 12]
+    return all(_x24_mod(coeffs) == [0] * (len(coeffs) - 2) + [q ** 12]
                for coeffs in items)
-
-
-def _poly_mulmod_desc(a, b, mod):
-    """Product of integer polynomials (descending coefficients) reduced
-    modulo the monic descending mod."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-    d = len(mod) - 1
-    while len(prod) > d:
-        lead = prod[0]
-        if lead:
-            for j in range(1, d + 1):
-                prod[j] -= lead * mod[j]
-        prod.pop(0)
-    return prod
-
-
-def _x_power_mod(e: int, mod) -> list:
-    """X^e modulo the monic integer polynomial mod of degree d, by binary
-    powering: d coefficients, descending."""
-    rem, power = [1], [1, 0]  # X^0, X
-    while e:
-        if e & 1:
-            rem = _poly_mulmod_desc(rem, power, mod)
-        e >>= 1
-        if e:
-            power = _poly_mulmod_desc(power, power, mod)
-    return [0] * (len(mod) - 1 - len(rem)) + rem
 
 
 # ---------------------------------------------------------------------------

@@ -53,18 +53,19 @@ def check_trace_addition_identities(ctx: FieldContext, r: int, a, b):
       T3(a+b) + T3(a) + T3(b) = T2(a)T1(b) + T1(a)T2(b)
                                 + T1(a^2 b + a b^2) + T1(ab)T1(a+b)
 
-    A bool for ints a, b; for uint64 arrays (m <= 32), a bool per lane."""
+    A bool for ints a, b; for uint64 arrays (m <= 32), a bool per lane.
+    The two lone T1 terms are `relative_trace` maps, not ladders."""
     t_a = trace_triple(ctx, r, a)
     t_b = trace_triple(ctx, r, b)
     t_s = trace_triple(ctx, r, a ^ b)
     ab = ctx.mul(a, b)
-    t1_ab = trace_triple(ctx, r, ab)[0]
+    t1_ab = ctx.relative_trace(ab, r)
     lhs2 = t_s[1] ^ t_a[1] ^ t_b[1]
     rhs2 = ctx.mul(t_a[0], t_b[0]) ^ t1_ab
     mixed = ctx.mul(ab, a ^ b)  # a^2 b + a b^2
     lhs3 = t_s[2] ^ t_a[2] ^ t_b[2]
     rhs3 = (ctx.mul(t_a[1], t_b[0]) ^ ctx.mul(t_a[0], t_b[1])
-            ^ trace_triple(ctx, r, mixed)[0] ^ ctx.mul(t1_ab, t_s[0]))
+            ^ ctx.relative_trace(mixed, r) ^ ctx.mul(t1_ab, t_s[0]))
     return (lhs2 == rhs2) & (lhs3 == rhs3)
 
 

@@ -7,16 +7,18 @@ import pytest
 from trace3 import anf, quadforms
 from trace3.closedforms import count_all_zero_traces, count_two_traces
 from trace3.curves import (COMBINED_ROUTES, TWIST_ROUTES, CurveSpec,
-                           _x_power_mod, alpha_class, charpoly_count,
+                           FrobeniusData, alpha_class, charpoly_count,
                            closed_count_combined, closed_count_twist,
-                           count_points_oracle, curve_rhs, factor_power_sum,
-                           factor_power_sums, frobenius_charpoly, genus,
-                           hasse_weil_ok, kani_rosen_check,
-                           power_sum_sequence, roots_symmetric_under_q,
-                           spectral_count, supersingularity_certificate,
+                           count_points_oracle, curve_rhs, factor_power_sums,
+                           frobenius_charpoly, genus, hasse_weil_ok,
+                           kani_rosen_check, power_sum_sequence,
+                           roots_symmetric_under_q, spectral_count,
+                           supersingularity_certificate,
                            twist_class_representatives, twist_classes)
 from trace3.field import BudgetError, build_context
 from trace3.quadforms import count_zeros_oracle, twist_form
+
+import charpoly_reference as ref
 
 
 @pytest.mark.parametrize("r,n", [(1, 5), (2, 3), (3, 4), (4, 2)])
@@ -348,7 +350,7 @@ def test_power_sum_by_powering_matches_newton():
     assert len(factors) > 50
     for coeffs in sorted(factors):
         newton = factor_power_sums(coeffs, 500)
-        assert [factor_power_sum(coeffs, n) for n in range(501)] == newton
+        assert [ref.factor_power_sum(coeffs, n) for n in range(501)] == newton
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -358,7 +360,7 @@ def test_x_power_mod_matches_repeated_multiplication(r):
             d = len(coeffs) - 1
             power = [0] * (d - 1) + [1]  # X^0 mod P, d coefficients
             for e in range(101):
-                assert _x_power_mod(e, coeffs) == power, (coeffs, e)
+                assert ref.x_power_mod(e, coeffs) == power, (coeffs, e)
                 power = power + [0]  # times X, then X^d = -(c_1 X^(d-1) + ...)
                 lead = power.pop(0)
                 power = [a - lead * c for a, c in zip(power, coeffs[1:])]
@@ -373,6 +375,53 @@ def test_power_sums():
     assert power_sum_sequence(fd3, 0) == 4
     assert charpoly_count(1, 1, 1) == 5
     assert charpoly_count(3, 1, 1) == 5
+    # a hand-built factor may be a list
+    listed = FrobeniusData(1, 1, [([1, 2, 2], 1)], 1)
+    assert power_sum_sequence(listed, 1) == -2
+
+
+def _reference_sums(fd, n_hi):
+    """{coeffs: [p_0..p_n_hi]} of each factor of fd by binary powering."""
+    return {coeffs: [ref.factor_power_sum(coeffs, n) for n in range(n_hi + 1)]
+            for coeffs, _ in fd.factors}
+
+
+@pytest.mark.parametrize("r", list(range(1, 21)) + [25])
+def test_period_power_sums_match_binary_powering(r):
+    """power_sum_sequence, read from the period X^24 = c, equals Fiduccia's
+    binary powering on every factor of every family, alone and with its
+    multiplicity in charpoly_count: n <= 500 for r <= 20, n <= 100 at 25."""
+    n_hi = 500 if r <= 20 else 100
+    for family in (1, 2, 3):
+        fd = frobenius_charpoly(family, r)
+        want = _reference_sums(fd, n_hi)
+        for coeffs, _ in fd.factors:
+            alone = FrobeniusData(family, r, [(coeffs, 1)], fd.genus)
+            assert [power_sum_sequence(alone, n)
+                    for n in range(n_hi + 1)] == want[coeffs], coeffs
+        for n in range(n_hi + 1):
+            s_n = sum(mult * want[coeffs][n] for coeffs, mult in fd.factors)
+            assert power_sum_sequence(fd, n) == s_n, (family, n)
+            if n:
+                assert charpoly_count(family, r, n) == (
+                    (1 << (r * n)) + 1 - s_n), (family, n)
+
+
+def test_power_sum_sequence_rejects_negative_n():
+    # the first Newton sums were indexed from the end: S_-2 read as S_22
+    fd = frobenius_charpoly(3, 1)
+    for n in (-1, -2, -24, -25):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            power_sum_sequence(fd, n)
+    assert power_sum_sequence(fd, 0) == 4
+
+
+def test_power_sum_sequence_refuses_ordinary_factor():
+    # roots 1 and 2 of X^2 - 3X + 2: X^24 = (2^24 - 1) X - (2^24 - 2)
+    fd = FrobeniusData(1, 1, [((1, -3, 2), 1)], 1)
+    for n in (0, 1, 30):
+        with pytest.raises(AssertionError, match=r"\(1, -3, 2\)"):
+            power_sum_sequence(fd, n)
 
 
 def test_supersingularity_certificate_rejects_ordinary():

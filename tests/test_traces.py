@@ -174,12 +174,19 @@ def test_trace_triple_vs_sums_random(m, r):
 
 
 def test_trace_triple_t1_is_relative_trace():
-    for m, r in ((6, 2), (9, 3), (12, 3)):
+    # check_trace_addition_identities takes its lone T1 terms from
+    # relative_trace: the ladder's T1 for every r | m <= 24, ints and lanes
+    for m in range(1, 25):
         ctx = build_context(m)
         rng = random.Random(m)
-        for _ in range(80):
-            a = rng.randrange(ctx.order)
-            assert trace_triple(ctx, r, a)[0] == ctx.relative_trace(a, r)
+        xs = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order)
+                                      for _ in range(60)]
+        lanes = np.array(xs, dtype=np.uint64)
+        for r in (r for r in range(1, m + 1) if m % r == 0):
+            assert [trace_triple(ctx, r, x)[0] for x in xs] == [
+                ctx.relative_trace(x, r) for x in xs], (m, r)
+            assert (np.asarray(trace_triple(ctx, r, lanes)[0]).tolist()
+                    == ctx.relative_trace(lanes, r).tolist()), (m, r)
 
 
 def test_trace_triple_small_n_convention():
